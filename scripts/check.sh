@@ -22,7 +22,9 @@
 #                                  # throughput to BENCH_results.json,
 #                                  # plus dfs_loadgen serve-load rows
 #                                  # (epoll vs thread-per-connection,
-#                                  # 1k-channel, and past-saturation shed)
+#                                  # 1k-channel, and past-saturation shed),
+#                                  # then the end-to-end benchmark's
+#                                  # correctness smoke (bench/e2e)
 #   scripts/check.sh --lint        # static gate (no test run): dfs_lint
 #                                  # project-contract rules + their
 #                                  # self-test, then — when Clang tooling
@@ -216,6 +218,12 @@ PY
     exit 1
   fi
   echo "check.sh: wrote $out"
+  # The end-to-end benchmark compiles against src/ internals, so a src/
+  # change can break it or move its outputs: run its correctness smoke
+  # (all three workloads at reduced scale, untraced and traced; fails on
+  # a missing metric, a wrong output or a digest that differs between
+  # the two runs).
+  python3 bench/e2e/run.py --smoke
   echo "check.sh: OK"
   exit 0
 fi

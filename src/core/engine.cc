@@ -158,17 +158,16 @@ StatusOr<std::unique_ptr<ml::Classifier>> DfsEngine::TrainModel(
   scratch.validation_gathered = false;
   split.train.GatherInto(features, &scratch.train_x);
   const auto& train_y = split.train.labels();
-  const bool is_private =
-      scenario_.constraint_set.privacy_epsilon.has_value();
-  const double epsilon =
-      scenario_.constraint_set.privacy_epsilon.value_or(0.0);
-
-  std::vector<ml::Hyperparameters> grid;
-  if (options_.use_hpo) {
-    grid = ml::HyperparameterGrid(scenario_.model);
-  } else {
-    grid.push_back(ml::Hyperparameters());
+  std::optional<ml::DpSetting> dp;
+  if (const auto& epsilon = scenario_.constraint_set.privacy_epsilon) {
+    dp = ml::DpSetting{*epsilon,
+                       options_.seed ^ fs::MaskHash(fs::IndicesToMask(
+                                           num_features(), features))};
   }
+
+  const std::vector<ml::Hyperparameters> grid =
+      options_.use_hpo ? ml::HyperparameterGrid(scenario_.model)
+                       : std::vector<ml::Hyperparameters>{{}};
   // Validation is gathered only when the HPO loop actually scores on it;
   // the gather is then reused by Measure via scratch.validation_gathered.
   const bool f32 = F32Active();
@@ -181,32 +180,19 @@ StatusOr<std::unique_ptr<ml::Classifier>> DfsEngine::TrainModel(
     scratch.validation_gathered = true;
   }
 
-  std::unique_ptr<ml::Classifier> best_model;
-  double best_f1 = -1.0;
-  for (const auto& params : grid) {
-    std::unique_ptr<ml::Classifier> model =
-        is_private
-            ? ml::CreateDpClassifier(scenario_.model, params, epsilon,
-                                     options_.seed ^ fs::MaskHash(
-                                         fs::IndicesToMask(num_features(),
-                                                           features)))
-            : ml::CreateClassifier(scenario_.model, params);
-    DFS_RETURN_IF_ERROR(model->Fit(scratch.train_x, train_y));
-    if (grid.size() == 1) return model;
-    if (f32) {
-      model->PredictBatch32(scratch.validation_x32, &scratch.predictions);
-    } else {
-      model->PredictBatch(scratch.validation_x, &scratch.predictions);
-    }
-    const double f1 =
-        metrics::F1Score(split.validation.labels(), scratch.predictions);
-    if (f1 > best_f1) {
-      best_f1 = f1;
-      best_model = std::move(model);
-    }
-  }
-  if (best_model == nullptr) return InternalError("no model trained");
-  return best_model;
+  auto fitted = ml::FitGrid(
+      scenario_.model, grid, dp, scratch.train_x, train_y,
+      [&](const ml::Classifier& model) {
+        if (f32) {
+          model.PredictBatch32(scratch.validation_x32, &scratch.predictions);
+        } else {
+          model.PredictBatch(scratch.validation_x, &scratch.predictions);
+        }
+        return metrics::F1Score(split.validation.labels(),
+                                scratch.predictions);
+      });
+  if (!fitted.ok()) return fitted.status();
+  return std::move(fitted->best_model);
 }
 
 constraints::MetricValues DfsEngine::Measure(const ml::Classifier& model,

@@ -217,10 +217,10 @@ class DfsEngine : public fs::EvalContext {
   void ReleaseScratch(std::unique_ptr<EvalScratch> scratch);
 
   /// Trains the scenario's model (DP variant when the privacy constraint is
-  /// active; grid-searched when HPO is on) on the selected columns, using
-  /// `scratch` for the gathered train (and, under HPO, validation)
-  /// matrices. The returned classifier owns all its state — it never
-  /// borrows from `scratch`.
+  /// active; grid-searched by ml::FitGrid when HPO is on) on the selected
+  /// columns, using `scratch` for the gathered train (and, under HPO,
+  /// validation) matrices. The returned classifier owns all its state — it
+  /// never borrows from `scratch`.
   // DFS_ALLOC_BOUNDARY: model construction allocates by design; §2e
   // covers gathers and predictions, not training (DESIGN.md §2k).
   StatusOr<std::unique_ptr<ml::Classifier>> TrainModel(

@@ -365,20 +365,4 @@ void MatMatT(const double* a, int a_rows, const double* bt, int bt_rows,
   }
 }
 
-void SplitCounts(const double* DFS_RESTRICT values,
-                 const double* DFS_RESTRICT labels, std::size_t n,
-                 double threshold, double* left_total,
-                 double* left_positives) {
-  double total = 0.0;
-  double positives = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] <= threshold) {
-      total += 1.0;
-      positives += labels[i];
-    }
-  }
-  *left_total = total;
-  *left_positives = positives;
-}
-
 }  // namespace dfs::linalg::kernels

@@ -183,15 +183,6 @@ DFS_HOT inline void StridedAxpyInPlace(double* a, double s, const double* b,
   for (std::size_t i = 0; i < n; ++i) a[i] += s * b[i * stride];
 }
 
-/// Decision-tree split scan: counts values[i] <= threshold into
-/// *left_total and sums labels[i] over those rows into *left_positives.
-/// Both sums are over exact small integers (1.0 and 0/1 labels), which
-/// f64 adds associatively without rounding, so this kernel is
-/// order-independent and safe under any vectorization.
-DFS_HOT void SplitCounts(const double* values, const double* labels, std::size_t n,
-                 double threshold, double* left_total,
-                 double* left_positives);
-
 // --- Span conveniences ------------------------------------------------
 
 DFS_HOT inline double Dot(std::span<const double> a, std::span<const double> b) {

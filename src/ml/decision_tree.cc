@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "linalg/kernels.h"
 #include "util/string_util.h"
 
 namespace dfs::ml {
@@ -29,23 +28,31 @@ Status DecisionTree::Fit(const linalg::Matrix& x, const std::vector<int>& y) {
     return InvalidArgumentError("dt_max_depth must be >= 1");
   }
   nodes_.clear();
+  split_gains_.clear();
   importances_.assign(x.cols(), 0.0);
   std::vector<int> rows(n);
   for (int r = 0; r < n; ++r) rows[r] = r;
-  BuildNode(x, y, rows, 0);
+  std::vector<SweepEntry> sweep;
+  BuildNode(x, y, rows, 0, sweep);
+  NormalizeImportances();
+  fitted_ = true;
+  return OkStatus();
+}
+
+void DecisionTree::NormalizeImportances() {
   double total_importance = 0.0;
   for (double imp : importances_) total_importance += imp;
   if (total_importance > 0.0) {
     for (double& imp : importances_) imp /= total_importance;
   }
-  fitted_ = true;
-  return OkStatus();
 }
 
 int DecisionTree::BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
-                            std::vector<int>& rows, int depth) {
+                            std::vector<int>& rows, int depth,
+                            std::vector<SweepEntry>& sweep) {
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
+  split_gains_.push_back(0.0);
 
   double positives = 0.0;
   for (int r : rows) positives += y[r];
@@ -60,47 +67,47 @@ int DecisionTree::BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
       node_gini > 0.0;
   if (!can_split) return node_index;
 
-  // Find the best (feature, threshold) over quantile candidates.
+  // Find the best (feature, threshold) over quantile candidates. Each
+  // feature's (value, label) pairs are sorted once. The candidate
+  // thresholds never decrease, so one sweep yields every candidate's left
+  // row and positive counts. They are exact integers, so the split chosen
+  // is the one a separate scan per candidate would choose.
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-12;
-  std::vector<double> values(rows.size());
-  // Node-local labels gathered once so the split scan below runs over two
-  // dense arrays (the SplitCounts kernel).
-  std::vector<double> node_labels(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    node_labels[i] = static_cast<double>(y[rows[i]]);
-  }
+  const size_t n = rows.size();
+  sweep.resize(n);
   for (int feature = 0; feature < x.cols(); ++feature) {
-    for (size_t i = 0; i < rows.size(); ++i) values[i] = x.At(rows[i], feature);
-    std::vector<double> sorted_values = values;
-    std::sort(sorted_values.begin(), sorted_values.end());
-    if (sorted_values.front() == sorted_values.back()) continue;
+    for (size_t i = 0; i < n; ++i) {
+      sweep[i] = {x.At(rows[i], feature), y[rows[i]]};
+    }
+    std::sort(sweep.begin(), sweep.end(),
+              [](const SweepEntry& a, const SweepEntry& b) {
+                return a.value < b.value;
+              });
+    if (sweep.front().value == sweep.back().value) continue;
 
     // Candidate thresholds: midpoints at (up to) kMaxThresholdCandidates
-    // quantile positions.
-    std::vector<double> candidates;
+    // quantile positions, repeats skipped.
     const int num_candidates =
-        std::min<int>(kMaxThresholdCandidates,
-                      static_cast<int>(sorted_values.size()) - 1);
+        std::min<int>(kMaxThresholdCandidates, static_cast<int>(n) - 1);
+    size_t left_count = 0;
+    int left_label_sum = 0;
+    double previous_threshold = 0.0;
     for (int q = 1; q <= num_candidates; ++q) {
-      const size_t pos = static_cast<size_t>(
-          q * (sorted_values.size() - 1) / (num_candidates + 1));
-      const double threshold =
-          0.5 * (sorted_values[pos] + sorted_values[pos + 1]);
-      if (candidates.empty() || threshold != candidates.back()) {
-        candidates.push_back(threshold);
+      const size_t pos =
+          static_cast<size_t>(q * (n - 1) / (num_candidates + 1));
+      const double threshold = 0.5 * (sweep[pos].value + sweep[pos + 1].value);
+      if (q > 1 && threshold == previous_threshold) continue;
+      previous_threshold = threshold;
+      while (left_count < n && sweep[left_count].value <= threshold) {
+        left_label_sum += sweep[left_count].label;
+        ++left_count;
       }
-    }
-    for (double threshold : candidates) {
-      // Exact small-integer sums, so any vectorization of the kernel is
-      // order-independent (see kernels.h).
-      double left_total = 0.0, left_positives = 0.0;
-      linalg::kernels::SplitCounts(values.data(), node_labels.data(),
-                                   rows.size(), threshold, &left_total,
-                                   &left_positives);
+      const double left_total = static_cast<double>(left_count);
       const double right_total = total - left_total;
       if (left_total < 1.0 || right_total < 1.0) continue;
+      const double left_positives = static_cast<double>(left_label_sum);
       const double right_positives = positives - left_positives;
       const double weighted_child_gini =
           (left_total / total) * GiniFromCounts(left_positives, left_total) +
@@ -123,11 +130,50 @@ int DecisionTree::BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
   rows.clear();
   rows.shrink_to_fit();
 
-  importances_[best_feature] += best_gain * total;
-  const int left = BuildNode(x, y, left_rows, depth + 1);
-  const int right = BuildNode(x, y, right_rows, depth + 1);
+  split_gains_[node_index] = best_gain * total;
+  importances_[best_feature] += split_gains_[node_index];
+  const int left = BuildNode(x, y, left_rows, depth + 1, sweep);
+  const int right = BuildNode(x, y, right_rows, depth + 1, sweep);
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;
+  nodes_[node_index].left = left;
+  nodes_[node_index].right = right;
+  return node_index;
+}
+
+DecisionTree DecisionTree::Truncated(int max_depth) const {
+  DFS_CHECK(fitted_ && split_gains_.size() == nodes_.size())
+      << "Truncated needs a tree built by Fit";
+  DFS_CHECK(max_depth >= 1 && max_depth <= params_.dt_max_depth)
+      << "cannot truncate a depth-" << params_.dt_max_depth << " tree to "
+      << max_depth;
+  Hyperparameters params = params_;
+  params.dt_max_depth = max_depth;
+  DecisionTree tree(params);
+  tree.importances_.assign(importances_.size(), 0.0);
+  tree.CopyTruncated(*this, 0, 0);
+  // Fit adds split gains into importances_ in pre-order, and so does
+  // CopyTruncated, so the sums round exactly as a direct fit's do.
+  tree.NormalizeImportances();
+  tree.fitted_ = true;
+  return tree;
+}
+
+int DecisionTree::CopyTruncated(const DecisionTree& source, int source_index,
+                                int depth) {
+  const Node& from = source.nodes_[source_index];
+  const int node_index = static_cast<int>(nodes_.size());
+  nodes_.emplace_back();
+  split_gains_.push_back(0.0);
+  nodes_[node_index].positive_probability = from.positive_probability;
+  if (from.feature < 0 || depth == params_.dt_max_depth) return node_index;
+
+  split_gains_[node_index] = source.split_gains_[source_index];
+  importances_[from.feature] += split_gains_[node_index];
+  const int left = CopyTruncated(source, from.left, depth + 1);
+  const int right = CopyTruncated(source, from.right, depth + 1);
+  nodes_[node_index].feature = from.feature;
+  nodes_[node_index].threshold = from.threshold;
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;
@@ -189,14 +235,21 @@ StatusOr<DecisionTree> DecisionTree::Deserialize(const std::string& text) {
   }
   DecisionTree tree(params);
   tree.nodes_.resize(num_nodes);
-  for (Node& node : tree.nodes_) {
+  const int n = static_cast<int>(num_nodes);
+  for (int index = 0; index < n; ++index) {
+    Node& node = tree.nodes_[index];
     in >> node.feature >> node.threshold >> node.left >> node.right >>
         node.positive_probability;
     if (!in) return InvalidArgumentError("corrupt tree node");
-    const int n = static_cast<int>(num_nodes);
-    if (node.feature >= 0 && (node.left < 0 || node.left >= n ||
-                              node.right < 0 || node.right >= n)) {
+    if (node.feature < 0) continue;
+    if (node.left < 0 || node.left >= n || node.right < 0 ||
+        node.right >= n) {
       return InvalidArgumentError("tree child index out of range");
+    }
+    // Serialize writes pre-order, so every child follows its parent. A
+    // child at or before its parent is a cycle PredictProba never leaves.
+    if (node.left <= index || node.right <= index) {
+      return InvalidArgumentError("tree child index not after its parent");
     }
   }
   size_t num_importances = 0;

@@ -15,6 +15,10 @@ namespace dfs::ml {
 /// `dt_min_samples_split`. Split thresholds are searched over up to
 /// `kMaxThresholdCandidates` quantile candidates per feature, which keeps
 /// training near-linear for the dataset sizes in the benchmark.
+///
+/// A node's split depends only on the node's rows, never on
+/// `dt_max_depth`, so the depth-d tree is the deeper tree cut off at depth
+/// d: `Truncated` returns it without refitting (DESIGN.md §2i).
 class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(const Hyperparameters& params) : params_(params) {}
@@ -33,6 +37,12 @@ class DecisionTree : public Classifier {
     return std::make_unique<DecisionTree>(params_);
   }
   std::string name() const override { return "DT"; }
+
+  /// This tree cut off at `max_depth` (1 <= max_depth <= the fitted
+  /// tree's dt_max_depth): byte-identical — Serialize() and
+  /// FeatureImportances() — to a direct Fit at that depth. Only for trees
+  /// built by Fit; a deserialized tree carries no split gains.
+  DecisionTree Truncated(int max_depth) const;
 
   /// Number of nodes in the fitted tree.
   int NodeCount() const { return static_cast<int>(nodes_.size()); }
@@ -54,11 +64,27 @@ class DecisionTree : public Classifier {
     double positive_probability = 0.5;
   };
 
+  /// One row of a node's split search: a feature value and its label.
+  struct SweepEntry {
+    double value;
+    int label;
+  };
+
+  /// `sweep` is split-search scratch shared by the whole recursion.
   int BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
-                std::vector<int>& rows, int depth);
+                std::vector<int>& rows, int depth,
+                std::vector<SweepEntry>& sweep);
+  /// Appends `source`'s subtree at `source_index` (which sits at `depth`)
+  /// in pre-order, cut off at params_.dt_max_depth.
+  int CopyTruncated(const DecisionTree& source, int source_index, int depth);
+  void NormalizeImportances();
 
   Hyperparameters params_;
   std::vector<Node> nodes_;
+  /// gain × rows of each node's split (0 for leaves), indexed like nodes_:
+  /// what Fit adds into importances_, kept so Truncated can re-sum it.
+  /// Empty on a deserialized tree.
+  std::vector<double> split_gains_;
   std::vector<double> importances_;
   bool fitted_ = false;
 };

@@ -204,28 +204,6 @@ TEST(KernelsTest, AxpyScaleAndStridedAxpy) {
   EXPECT_EQ(a, (std::vector<double>{22.0, 44.0, 66.0}));
 }
 
-TEST(KernelsTest, SplitCountsMatchesScalarScan) {
-  Rng rng(20);
-  const std::size_t n = 201;
-  const auto values = RandomVector(n, &rng, 0.0, 1.0);
-  std::vector<double> labels(n);
-  for (auto& l : labels) l = rng.Bernoulli(0.4) ? 1.0 : 0.0;
-  for (double threshold : {0.0, 0.25, 0.5, 0.99}) {
-    double left_total = -1.0, left_positives = -1.0;
-    SplitCounts(values.data(), labels.data(), n, threshold, &left_total,
-                &left_positives);
-    double want_total = 0.0, want_pos = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (values[i] <= threshold) {
-        want_total += 1.0;
-        want_pos += labels[i];
-      }
-    }
-    EXPECT_EQ(left_total, want_total) << threshold;
-    EXPECT_EQ(left_positives, want_pos) << threshold;
-  }
-}
-
 // --- f32 storage error characterization -------------------------------
 
 TEST(KernelsTest, F32DotErrorBoundedByStorageQuantization) {

@@ -39,6 +39,15 @@ TEST(DecisionTreeSerializationTest, RejectsCorruptInput) {
   // Out-of-range child index.
   EXPECT_FALSE(
       DecisionTree::Deserialize("tree v1\n5 2\n1\n0 0.5 7 8 0.5\n0\n").ok());
+  // A node that is its own child, and a child pointing back at an
+  // ancestor: both are cycles PredictProba would never leave.
+  EXPECT_FALSE(
+      DecisionTree::Deserialize("tree v1\n5 2\n1\n0 0.5 0 0 0.5\n0\n").ok());
+  EXPECT_FALSE(DecisionTree::Deserialize("tree v1\n5 2\n3\n"
+                                         "0 0.5 1 2 0.5\n"
+                                         "0 0.5 0 2 0.5\n"
+                                         "-1 0 -1 -1 0.5\n0\n")
+                   .ok());
 }
 
 TEST(RandomForestSerializationTest, PredictionsSurviveRoundTrip) {
