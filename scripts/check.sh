@@ -8,15 +8,19 @@
 #                                  # engine_golden_test, kernels_test)
 #                                  # under TSan, and the zero-copy
 #                                  # evaluation tests (engine_golden_test,
-#                                  # linalg_test, kernels_test)
-#                                  # under ASan+UBSan
+#                                  # linalg_test, kernels_test, ml_test)
+#                                  # plus the state-file writers
+#                                  # (file_test) under ASan+UBSan
 #   scripts/check.sh --docs        # docs only (no build): every relative
 #                                  # Markdown link resolves, every bench_*
 #                                  # binary named in EXPERIMENTS.md exists,
 #                                  # every DFS_* env knob read by the
 #                                  # code is documented in EXPERIMENTS.md,
-#                                  # and every tools/ binary is mentioned
-#                                  # in some Markdown file
+#                                  # every tools/ binary is mentioned
+#                                  # in some Markdown file, every
+#                                  # EngineOptions::<field> the docs name
+#                                  # exists in src/core/engine.h, and
+#                                  # every option(DFS_*) is documented
 #   scripts/check.sh --bench-smoke # build bench_micro and snapshot the
 #                                  # serial-vs-parallel candidate-sweep
 #                                  # throughput to BENCH_results.json,
@@ -248,16 +252,19 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   ./build-tsan/tests/engine_golden_test
   ./build-tsan/tests/kernels_test
   # ASan+UBSan sweep of the zero-copy evaluation path: the span kernels,
-  # unchecked Matrix accessors, and in-place gathers must be clean under
-  # memory and UB checking (DFS_DCHECK bounds checks compile out in
-  # Release; the sanitizers are the backstop).
+  # unchecked Matrix accessors, in-place gathers and batched predicts must
+  # be clean under memory and UB checking (DFS_DCHECK bounds checks
+  # compile out in Release; the sanitizers are the backstop). file_test
+  # drives every state writer into a full device.
   cmake -B build-asan -S . -DDFS_SANITIZE=address,undefined
   cmake --build build-asan -j --target engine_golden_test linalg_test \
-    kernels_test fuzz_line_protocol_replay fuzz_spill_decoder_replay \
-    fuzz_arff_replay
+    kernels_test ml_test file_test fuzz_line_protocol_replay \
+    fuzz_spill_decoder_replay fuzz_arff_replay
   ./build-asan/tests/engine_golden_test
   ./build-asan/tests/linalg_test
   ./build-asan/tests/kernels_test
+  ./build-asan/tests/ml_test
+  ./build-asan/tests/file_test
   # Replay the generated fuzz corpus — including every historical crash
   # seed — through the decoders under ASan+UBSan (tests/fuzz/).
   python3 tests/fuzz/corpus_replay_test.py \

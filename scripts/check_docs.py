@@ -26,6 +26,11 @@
    exists under src/. Exact line-level sync is `check.sh --analyze`'s
    job (it re-derives the graph); this keeps the artifact findable and
    its citations non-dangling even on docs-only runs.
+8. Every `EngineOptions::<field>` named in a reference document (README,
+   DESIGN, EXPERIMENTS, ROADMAP, docs/) is a field of `struct
+   EngineOptions` in src/core/engine.h, and every `option(DFS_*)` in the
+   root CMakeLists.txt is named in one of those documents. CHANGES.md is
+   skipped on purpose: it is a history and names removed fields.
 """
 
 import glob
@@ -174,6 +179,47 @@ def check_cache_format_version():
     return []
 
 
+def reference_docs():
+    """The Markdown files that describe the tree as it is now."""
+    top = [os.path.join(REPO, name) for name in
+           ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")]
+    docs = sorted(glob.glob(os.path.join(REPO, "docs", "**", "*.md"),
+                            recursive=True))
+    return [path for path in top if os.path.exists(path)] + docs
+
+
+def check_engine_options_and_build_options():
+    with open(os.path.join(REPO, "src", "core", "engine.h"),
+              encoding="utf-8") as f:
+        struct = re.search(r"struct EngineOptions \{(.*?)\n\};", f.read(),
+                           re.DOTALL)
+    if struct is None:
+        return ["src/core/engine.h no longer defines struct EngineOptions "
+                "(update check_docs.py)"]
+    body = re.sub(r"//[^\n]*", "", struct.group(1))
+    fields = set(re.findall(r"(\w+)\s*(?:=[^;]*)?;", body))
+    with open(os.path.join(REPO, "CMakeLists.txt"), encoding="utf-8") as f:
+        options = set(re.findall(r"option\(\s*(DFS_[A-Z0-9_]+)", f.read()))
+    errors = []
+    named_options = set()
+    for path in reference_docs():
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        # No leading \b: options are usually spelled -DDFS_<NAME>=ON.
+        named_options |= set(re.findall(r"(DFS_[A-Z0-9_]+)\b", text))
+        for field in sorted(set(re.findall(r"EngineOptions::(\w+)", text))):
+            if field not in fields:
+                errors.append(
+                    f"{os.path.relpath(path, REPO)} names "
+                    f"'EngineOptions::{field}' but struct EngineOptions in "
+                    f"src/core/engine.h has no such field")
+    errors += [
+        f"CMakeLists.txt declares option '{name}' but no reference "
+        f"document names it" for name in sorted(options - named_options)
+    ]
+    return errors
+
+
 def check_lock_order_artifact():
     dot_path = os.path.join(REPO, "docs", "lock_order.dot")
     if not os.path.exists(dot_path):
@@ -201,7 +247,8 @@ def check_lock_order_artifact():
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
               check_tool_binaries() + check_cache_instruments() +
-              check_cache_format_version() + check_lock_order_artifact())
+              check_cache_format_version() + check_lock_order_artifact() +
+              check_engine_options_and_build_options())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:

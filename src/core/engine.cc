@@ -60,20 +60,7 @@ DfsEngine::DfsEngine(MlScenario scenario, const EngineOptions& options)
       options_(options),
       rng_(options.seed),
       batch_threads_(options.num_threads > 0 ? options.num_threads
-                                             : HardwareThreadBudget()) {
-  if (F32Active()) {
-    // Build the f32 column mirrors up front, before any concurrent
-    // GatherInto traffic (BuildF32Mirror is not thread-safe). Only the
-    // measurement splits are mirrored; training always gathers f64.
-    scenario_.split.validation.BuildF32Mirror();
-    scenario_.split.test.BuildF32Mirror();
-  }
-}
-
-bool DfsEngine::F32Active() const {
-  return options_.use_f32_eval &&
-         !scenario_.constraint_set.min_safety.has_value();
-}
+                                             : HardwareThreadBudget()) {}
 
 int DfsEngine::num_features() const {
   return scenario_.split.train.num_features();
@@ -170,24 +157,15 @@ StatusOr<std::unique_ptr<ml::Classifier>> DfsEngine::TrainModel(
                        : std::vector<ml::Hyperparameters>{{}};
   // Validation is gathered only when the HPO loop actually scores on it;
   // the gather is then reused by Measure via scratch.validation_gathered.
-  const bool f32 = F32Active();
   if (grid.size() > 1) {
-    if (f32) {
-      split.validation.GatherInto(features, &scratch.validation_x32);
-    } else {
-      split.validation.GatherInto(features, &scratch.validation_x);
-    }
+    split.validation.GatherInto(features, &scratch.validation_x);
     scratch.validation_gathered = true;
   }
 
   auto fitted = ml::FitGrid(
       scenario_.model, grid, dp, scratch.train_x, train_y,
       [&](const ml::Classifier& model) {
-        if (f32) {
-          model.PredictBatch32(scratch.validation_x32, &scratch.predictions);
-        } else {
-          model.PredictBatch(scratch.validation_x, &scratch.predictions);
-        }
+        model.PredictBatch(scratch.validation_x, &scratch.predictions);
         return metrics::F1Score(split.validation.labels(),
                                 scratch.predictions);
       });
@@ -219,28 +197,6 @@ constraints::MetricValues DfsEngine::Measure(const ml::Classifier& model,
   return values;
 }
 
-constraints::MetricValues DfsEngine::Measure32(
-    const ml::Classifier& model, const std::vector<int>& features,
-    const data::Dataset& split, const linalg::Matrix32& x,
-    EvalScratch& scratch) {
-  // F32Active() rules out the safety constraint, whose attack needs an
-  // f64 matrix to perturb; everything else measures off hard predictions.
-  DFS_DCHECK(!scenario_.constraint_set.min_safety.has_value());
-  constraints::MetricValues values;
-  values.selected_features = static_cast<int>(features.size());
-  values.total_features = num_features();
-  values.feature_fraction =
-      static_cast<double>(features.size()) / std::max(1, num_features());
-
-  model.PredictBatch32(x, &scratch.predictions);
-  values.f1 = metrics::F1Score(split.labels(), scratch.predictions);
-  if (scenario_.constraint_set.min_equal_opportunity.has_value()) {
-    values.equal_opportunity = metrics::EqualOpportunity(
-        split.labels(), scratch.predictions, split.groups());
-  }
-  return values;
-}
-
 DfsEngine::EvaluatedMask DfsEngine::EvaluateUncached(
     const fs::FeatureMask& mask, const std::vector<int>& features) {
   EngineMetrics& metrics = EngineMetrics::Get();
@@ -263,20 +219,11 @@ DfsEngine::EvaluatedMask DfsEngine::EvaluateUncached(
   outcome.evaluated = true;
   // Under HPO the TrainModel loop already gathered validation for this
   // feature set; otherwise gather it here — exactly once either way.
-  const bool f32 = F32Active();
   if (!scratch->validation_gathered) {
-    if (f32) {
-      scenario_.split.validation.GatherInto(features,
-                                            &scratch->validation_x32);
-    } else {
-      scenario_.split.validation.GatherInto(features, &scratch->validation_x);
-    }
+    scenario_.split.validation.GatherInto(features, &scratch->validation_x);
   }
-  outcome.validation =
-      f32 ? Measure32(**model, features, scenario_.split.validation,
-                      scratch->validation_x32, *scratch)
-          : Measure(**model, features, scenario_.split.validation,
-                    scratch->validation_x, eval_rng, *scratch);
+  outcome.validation = Measure(**model, features, scenario_.split.validation,
+                               scratch->validation_x, eval_rng, *scratch);
   outcome.distance = scenario_.constraint_set.Distance(outcome.validation);
   outcome.objective = scenario_.constraint_set.Objective(
       outcome.validation, options_.maximize_f1_utility);
@@ -288,15 +235,9 @@ DfsEngine::EvaluatedMask DfsEngine::EvaluateUncached(
   // test-set checking is the paper's protocol; the test metrics are
   // reported, not searched over, except for this gate.)
   if (outcome.satisfied_validation) {
-    if (f32) {
-      scenario_.split.test.GatherInto(features, &scratch->test_x32);
-      result.test_values = Measure32(**model, features, scenario_.split.test,
-                                     scratch->test_x32, *scratch);
-    } else {
-      scenario_.split.test.GatherInto(features, &scratch->test_x);
-      result.test_values = Measure(**model, features, scenario_.split.test,
-                                   scratch->test_x, eval_rng, *scratch);
-    }
+    scenario_.split.test.GatherInto(features, &scratch->test_x);
+    result.test_values = Measure(**model, features, scenario_.split.test,
+                                 scratch->test_x, eval_rng, *scratch);
     result.have_test_values = true;
     outcome.success = scenario_.constraint_set.Satisfied(result.test_values);
   }
@@ -584,17 +525,10 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
     auto model = TrainModel(features, *scratch);
     if (model.ok()) {
       Rng final_rng(EvalSeed(result_.selected));
-      if (F32Active()) {
-        scenario_.split.test.GatherInto(features, &scratch->test_x32);
-        result_.test_values =
-            Measure32(**model, features, scenario_.split.test,
-                      scratch->test_x32, *scratch);
-      } else {
-        scenario_.split.test.GatherInto(features, &scratch->test_x);
-        result_.test_values =
-            Measure(**model, features, scenario_.split.test, scratch->test_x,
-                    final_rng, *scratch);
-      }
+      scenario_.split.test.GatherInto(features, &scratch->test_x);
+      result_.test_values =
+          Measure(**model, features, scenario_.split.test, scratch->test_x,
+                  final_rng, *scratch);
       result_.best_distance_test =
           scenario_.constraint_set.Distance(result_.test_values);
       result_.test_f1 = result_.test_values.f1;

@@ -38,15 +38,6 @@ struct EngineOptions {
   /// Record one trace point per (uncached) evaluation in RunResult::trace;
   /// off by default to keep benchmark memory flat.
   bool record_trace = false;
-  /// Opt-in f32 evaluation mode (DESIGN.md §2i): validation/test feature
-  /// matrices are gathered as float32 and predictions run the
-  /// mixed-precision kernels (f64 model parameters x f32 rows, f64
-  /// accumulation). Training always stays f64, so the only deviation from
-  /// the default mode is the storage quantization of measured rows —
-  /// selections are NOT byte-identical to f64 runs (the §2d contract
-  /// binds each mode to itself). Ignored when the safety constraint is
-  /// active: the robustness attack perturbs gathered rows in f64.
-  bool use_f32_eval = false;
   /// Threads for EvaluateBatch candidate sweeps. 0 = the process-wide
   /// budget (DFS_THREADS env, default hardware_concurrency); 1 = serial.
   /// Parallel runs select byte-identical masks to serial runs — see the
@@ -184,14 +175,9 @@ class DfsEngine : public fs::EvalContext {
     linalg::Matrix train_x;
     linalg::Matrix validation_x;
     linalg::Matrix test_x;
-    /// f32 twins of the measurement matrices, used only in f32 eval mode
-    /// (train_x has no twin: training is always f64).
-    linalg::Matrix32 validation_x32;
-    linalg::Matrix32 test_x32;
     std::vector<int> predictions;
     /// Set by TrainModel when the HPO loop already gathered validation_x
-    /// (or validation_x32 in f32 mode) for the current feature set;
-    /// Measure then skips the second gather.
+    /// for the current feature set; Measure then skips the second gather.
     bool validation_gathered = false;
   };
 
@@ -236,18 +222,6 @@ class DfsEngine : public fs::EvalContext {
                                             const data::Dataset& split,
                                             const linalg::Matrix& x, Rng& rng,
                                             EvalScratch& scratch);
-
-  /// f32-mode Measure: predictions run PredictBatch32 over the f32 gather.
-  /// Never called with the safety constraint active (F32Active guards).
-  DFS_HOT constraints::MetricValues Measure32(const ml::Classifier& model,
-                                              const std::vector<int>& features,
-                                              const data::Dataset& split,
-                                              const linalg::Matrix32& x,
-                                              EvalScratch& scratch);
-
-  /// True when this engine measures through f32 storage (the option is on
-  /// and no safety constraint forces the f64 fallback).
-  bool F32Active() const;
 
   /// Seed of the per-evaluation RNG stream: split deterministically from
   /// the run seed by mask, so an evaluation's randomness is independent of

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "core/suite_version.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 namespace dfs::core {
@@ -557,21 +557,14 @@ Status ShardedEvalCache::RestoreState(const std::string& blob) {
 }
 
 Status ShardedEvalCache::SaveToFile(const std::string& path) const {
-  const std::string blob = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return InternalError("cannot write file: " + path);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) return InternalError("short write: " + path);
+  DFS_RETURN_IF_ERROR(util::WriteFile(path, Serialize()));
   CacheMetrics::Get().spills.Increment();
   return OkStatus();
 }
 
 Status ShardedEvalCache::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreState(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string blob, util::ReadFile(path));
+  return RestoreState(blob);
 }
 
 // ---------------------------------------------------------------------------
@@ -608,22 +601,15 @@ Status EvalCacheRegistry::SaveToFile(const std::string& path) const {
     AppendU64(&container, blob.size());
     container += blob;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return InternalError("cannot write file: " + path);
-  out.write(container.data(),
-            static_cast<std::streamsize>(container.size()));
-  if (!out) return InternalError("short write: " + path);
+  DFS_RETURN_IF_ERROR(util::WriteFile(path, container));
   spills_.fetch_add(1, std::memory_order_relaxed);
   CacheMetrics::Get().spills.Increment();
   return OkStatus();
 }
 
 StatusOr<size_t> EvalCacheRegistry::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreFromString(buffer.str(), path);
+  DFS_ASSIGN_OR_RETURN(const std::string container, util::ReadFile(path));
+  return RestoreFromString(container, path);
 }
 
 StatusOr<size_t> EvalCacheRegistry::RestoreFromString(

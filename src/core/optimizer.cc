@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <set>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "metrics/robustness.h"
 #include "ml/cross_validation.h"
 #include "ml/dp/dp_classifier.h"
+#include "util/file.h"
 #include "util/math_util.h"
 
 namespace dfs::core {
@@ -275,18 +275,12 @@ StatusOr<DfsOptimizer> DfsOptimizer::Deserialize(const std::string& text) {
 
 Status DfsOptimizer::SaveToFile(const std::string& path) const {
   DFS_ASSIGN_OR_RETURN(const std::string text, Serialize());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot write file: " + path);
-  out << text;
-  return OkStatus();
+  return util::WriteFile(path, text);
 }
 
 StatusOr<DfsOptimizer> DfsOptimizer::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string text, util::ReadFile(path));
+  return Deserialize(text);
 }
 
 namespace {

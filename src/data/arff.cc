@@ -1,9 +1,9 @@
 #include "data/arff.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/string_util.h"
 
 namespace dfs::data {
@@ -226,11 +226,8 @@ StatusOr<RawDataset> ParseArff(const std::string& text,
 StatusOr<RawDataset> ReadArffFile(const std::string& path,
                                   const std::string& target_attribute,
                                   const std::string& sensitive_attribute) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseArff(buffer.str(), target_attribute, sensitive_attribute);
+  DFS_ASSIGN_OR_RETURN(const std::string text, util::ReadFile(path));
+  return ParseArff(text, target_attribute, sensitive_attribute);
 }
 
 }  // namespace dfs::data

@@ -55,32 +55,6 @@ namespace {
 // tiling only reorders stores — so this is purely a bandwidth knob.
 constexpr size_t kGatherWindowBytes = 1 << 20;
 
-template <typename Src, typename T>
-void GatherTiled(const std::vector<const Src*>& sources, int n, size_t k,
-                 int block_rows, T* dst) {
-  int block = block_rows;
-  if (block <= 0) {
-    const size_t by_window =
-        kGatherWindowBytes / (std::max<size_t>(k, 1) * sizeof(T));
-    block = static_cast<int>(
-        std::clamp<size_t>(by_window, 64, static_cast<size_t>(
-                                              std::max(n, 1))));
-  }
-  for (int r0 = 0; r0 < n; r0 += block) {
-    const int r1 = std::min(n, r0 + block);
-    T* block_base = dst + static_cast<size_t>(r0) * k;
-    for (size_t j = 0; j < k; ++j) {
-      // Contiguous read of the source column slice; stride-k writes land
-      // inside the bounded destination window.
-      const Src* src = sources[j] + r0;
-      T* cell = block_base + j;
-      for (int r = r0; r < r1; ++r, cell += k) {
-        *cell = static_cast<T>(*src++);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void Dataset::GatherInto(const std::vector<int>& feature_indices,
@@ -100,44 +74,24 @@ void Dataset::GatherInto(const std::vector<int>& feature_indices,
   for (size_t j = 0; j < k; ++j) {
     sources[j] = Column(feature_indices[j]).data();
   }
-  GatherTiled(sources, n, k, block_rows, out->MutableData());
-}
-
-void Dataset::GatherInto(const std::vector<int>& feature_indices,
-                         linalg::Matrix32* out, int block_rows) const {
-  DFS_CHECK(out != nullptr);
-  const int n = num_rows();
-  const size_t k = feature_indices.size();
-  out->Resize(n, static_cast<int>(k));
-  if (has_f32_mirror()) {
-    // DFS_THREAD_LOCAL_OK: per-thread gather scratch; the dataset is shared.
-    thread_local std::vector<const float*> sources_f32;
-    sources_f32.resize(k);  // DFS_ALLOC_OK: reusable thread-local scratch
+  int block = block_rows;
+  if (block <= 0) {
+    const size_t by_window =
+        kGatherWindowBytes / (std::max<size_t>(k, 1) * sizeof(double));
+    block = static_cast<int>(
+        std::clamp<size_t>(by_window, 64, static_cast<size_t>(
+                                              std::max(n, 1))));
+  }
+  double* dst = out->MutableData();
+  for (int r0 = 0; r0 < n; r0 += block) {
+    const int r1 = std::min(n, r0 + block);
+    double* block_base = dst + static_cast<size_t>(r0) * k;
     for (size_t j = 0; j < k; ++j) {
-      const int f = feature_indices[j];
-      DFS_CHECK(f >= 0 && f < num_features());
-      sources_f32[j] = columns_f32_[f].data();
-    }
-    GatherTiled(sources_f32, n, k, block_rows, out->MutableData());
-    return;
-  }
-  // DFS_THREAD_LOCAL_OK: per-thread gather scratch; the dataset is shared.
-  thread_local std::vector<const double*> sources;
-  sources.resize(k);  // DFS_ALLOC_OK: reusable thread-local scratch
-  for (size_t j = 0; j < k; ++j) {
-    sources[j] = Column(feature_indices[j]).data();
-  }
-  GatherTiled(sources, n, k, block_rows, out->MutableData());
-}
-
-void Dataset::BuildF32Mirror() {
-  if (has_f32_mirror()) return;
-  columns_f32_.resize(columns_.size());
-  for (size_t f = 0; f < columns_.size(); ++f) {
-    const std::vector<double>& column = columns_[f];
-    columns_f32_[f].resize(column.size());
-    for (size_t r = 0; r < column.size(); ++r) {
-      columns_f32_[f][r] = static_cast<float>(column[r]);
+      // Contiguous read of the source column slice; stride-k writes land
+      // inside the bounded destination window.
+      const double* src = sources[j] + r0;
+      double* cell = block_base + j;
+      for (int r = r0; r < r1; ++r, cell += k) *cell = *src++;
     }
   }
 }

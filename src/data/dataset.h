@@ -67,19 +67,6 @@ class Dataset {
   DFS_HOT void GatherInto(const std::vector<int>& feature_indices,
                           linalg::Matrix* out, int block_rows = 0) const;
 
-  /// Float32 gather for the opt-in f32 evaluation mode (DESIGN.md §2i).
-  /// Elements are static_cast<float>(v) of the f64 values — identical
-  /// whether or not the f32 mirror below has been built.
-  DFS_HOT void GatherInto(const std::vector<int>& feature_indices,
-                          linalg::Matrix32* out, int block_rows = 0) const;
-
-  /// Precomputes an f32 copy of every column so f32 gathers read
-  /// half-width contiguous storage instead of converting on the fly.
-  /// NOT thread-safe: call before any concurrent GatherInto traffic (the
-  /// engine builds mirrors at construction when f32 eval is enabled).
-  void BuildF32Mirror();
-  bool has_f32_mirror() const { return !columns_f32_.empty(); }
-
   /// All feature indices [0, num_features).
   std::vector<int> AllFeatures() const;
 
@@ -93,7 +80,6 @@ class Dataset {
   std::string name_;
   std::vector<std::string> feature_names_;
   std::vector<std::vector<double>> columns_;  // [feature][row]
-  std::vector<std::vector<float>> columns_f32_;  // optional mirror, see above
   std::vector<int> labels_;                   // 0/1
   std::vector<int> groups_;                   // 0 = majority, 1 = minority
 };

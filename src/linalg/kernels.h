@@ -37,10 +37,6 @@ namespace dfs::linalg::kernels {
 // which has no FMA instruction for the compiler to contract into (and
 // the one -mavx2 TU, kernels_avx2.cc, is compiled -ffp-contract=off).
 // kernels_test.cc pins the n < 8 sizes against reference:: bitwise.
-//
-// Float32 inputs participate only as storage: the mixed-precision kernels
-// widen each f32 element to f64 (exact) and accumulate in f64, so the f32
-// evaluation mode's error is bounded by the storage quantization alone.
 
 /// ISA selected by the runtime dispatch: "avx2" or "portable". Stable for
 /// the life of the process.
@@ -51,12 +47,9 @@ namespace detail {
 // split exists only so the inline wrappers below can skip the indirect
 // call for tiny inputs). Defined in kernels.cc / kernels_avx2.cc.
 double DotWide(const double* a, const double* b, std::size_t n);
-double DotF32Wide(const float* x, const double* w, std::size_t n);
 double SquaredDistanceWide(const double* a, const double* b, std::size_t n);
 double WeightedSquaredDiffWide(const double* x, const double* mean,
                                const double* inv2var, std::size_t n);
-double WeightedSquaredDiffF32Wide(const float* x, const double* mean,
-                                  const double* inv2var, std::size_t n);
 double StridedDotWide(const double* a, std::size_t stride, const double* b,
                       std::size_t n);
 
@@ -76,19 +69,6 @@ DFS_HOT inline double Dot(const double* a, const double* b, std::size_t n) {
     return sum;
   }
   return detail::DotWide(a, b, n);
-}
-
-/// Mixed-precision dot: f32 storage row against f64 model weights,
-/// accumulated in f64 (each float is widened exactly).
-DFS_HOT inline double DotF32(const float* x, const double* w, std::size_t n) {
-  if (n < detail::kInlineWidth) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += static_cast<double>(x[i]) * w[i];
-    }
-    return sum;
-  }
-  return detail::DotF32Wide(x, w, n);
 }
 
 /// Squared Euclidean distance over n elements.
@@ -120,29 +100,11 @@ DFS_HOT inline double WeightedSquaredDiff(const double* x, const double* mean,
   return detail::WeightedSquaredDiffWide(x, mean, inv2var, n);
 }
 
-/// Mixed-precision WeightedSquaredDiff (f32 observation row).
-DFS_HOT inline double WeightedSquaredDiffF32(const float* x, const double* mean,
-                                     const double* inv2var, std::size_t n) {
-  if (n < detail::kInlineWidth) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = static_cast<double>(x[i]) - mean[i];
-      sum += (d * d) * inv2var[i];
-    }
-    return sum;
-  }
-  return detail::WeightedSquaredDiffF32Wide(x, mean, inv2var, n);
-}
-
 // --- GEMV-style batched forms ----------------------------------------
 
 /// out[r] = bias + dot(row r of x, w) for a row-major rows x cols matrix.
 DFS_HOT void MatVec(const double* x, int rows, int cols, const double* w,
             double bias, double* out);
-
-/// MatVec over an f32 row-major matrix with f64 weights/bias.
-DFS_HOT void MatVecF32(const float* x, int rows, int cols, const double* w,
-               double bias, double* out);
 
 /// out(r, c) = dot(row r of a, row c of bt): the product A * B with B
 /// supplied pre-transposed so both operands stream row-contiguously.
@@ -202,7 +164,6 @@ DFS_HOT inline double SquaredDistance(std::span<const double> a,
 // DESIGN §2d byte-identical selection contract.
 namespace reference {
 double Dot(const double* a, const double* b, std::size_t n);
-double DotF32(const float* x, const double* w, std::size_t n);
 double SquaredDistance(const double* a, const double* b, std::size_t n);
 double WeightedSquaredDiff(const double* x, const double* mean,
                            const double* inv2var, std::size_t n);

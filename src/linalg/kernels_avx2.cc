@@ -48,22 +48,6 @@ double Dot(const double* a, const double* b, std::size_t n) {
   return sum;
 }
 
-double DotF32(const float* x, const double* w, std::size_t n) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d xa = _mm256_cvtps_pd(_mm_loadu_ps(x + i));
-    const __m256d xb = _mm256_cvtps_pd(_mm_loadu_ps(x + i + 4));
-    acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(xa, _mm256_loadu_pd(w + i)));
-    acc_b = _mm256_add_pd(acc_b,
-                          _mm256_mul_pd(xb, _mm256_loadu_pd(w + i + 4)));
-  }
-  double sum = HorizontalSum(acc_a, acc_b);
-  for (; i < n; ++i) sum += static_cast<double>(x[i]) * w[i];
-  return sum;
-}
-
 double SquaredDistance(const double* a, const double* b, std::size_t n) {
   __m256d acc_a = _mm256_setzero_pd();
   __m256d acc_b = _mm256_setzero_pd();
@@ -104,31 +88,6 @@ double WeightedSquaredDiff(const double* x, const double* mean,
   double sum = HorizontalSum(acc_a, acc_b);
   for (; i < n; ++i) {
     const double d = x[i] - mean[i];
-    sum += (d * d) * inv2var[i];
-  }
-  return sum;
-}
-
-double WeightedSquaredDiffF32(const float* x, const double* mean,
-                              const double* inv2var, std::size_t n) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d xa = _mm256_cvtps_pd(_mm_loadu_ps(x + i));
-    const __m256d xb = _mm256_cvtps_pd(_mm_loadu_ps(x + i + 4));
-    const __m256d da = _mm256_sub_pd(xa, _mm256_loadu_pd(mean + i));
-    const __m256d db = _mm256_sub_pd(xb, _mm256_loadu_pd(mean + i + 4));
-    acc_a = _mm256_add_pd(
-        acc_a, _mm256_mul_pd(_mm256_mul_pd(da, da),
-                             _mm256_loadu_pd(inv2var + i)));
-    acc_b = _mm256_add_pd(
-        acc_b, _mm256_mul_pd(_mm256_mul_pd(db, db),
-                             _mm256_loadu_pd(inv2var + i + 4)));
-  }
-  double sum = HorizontalSum(acc_a, acc_b);
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(x[i]) - mean[i];
     sum += (d * d) * inv2var[i];
   }
   return sum;

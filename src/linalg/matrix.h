@@ -4,7 +4,6 @@
 #include <cmath>
 #include <initializer_list>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "linalg/kernels.h"
@@ -12,18 +11,12 @@
 
 namespace dfs::linalg {
 
-/// Dense row-major matrix, templated on the element type (DESIGN.md §2i).
-/// `Matrix` (f64) is the default everywhere; `Matrix32` exists only as a
-/// storage format for the opt-in f32 evaluation mode — model parameters
-/// and accumulations stay f64, so f32 never leaks into training math.
-template <typename T>
-class MatrixT {
-  static_assert(std::is_floating_point_v<T>,
-                "MatrixT supports floating-point storage only");
-
+/// Dense row-major f64 matrix; its products and reductions run through
+/// `linalg::kernels` (DESIGN.md §2i).
+class Matrix {
  public:
-  MatrixT() : rows_(0), cols_(0) {}
-  MatrixT(int rows, int cols, T fill = T{0})
+  Matrix() : rows_(0), cols_(0) {}
+  Matrix(int rows, int cols, double fill = 0.0)
       : rows_(rows), cols_(cols),
         data_(static_cast<size_t>(rows) * cols, fill) {
     DFS_CHECK_GE(rows, 0);
@@ -31,30 +24,30 @@ class MatrixT {
   }
 
   /// Builds from nested initializer lists; all rows must have equal length.
-  MatrixT(std::initializer_list<std::initializer_list<T>> values) {
+  Matrix(std::initializer_list<std::initializer_list<double>> values) {
     rows_ = static_cast<int>(values.size());
     cols_ = rows_ > 0 ? static_cast<int>(values.begin()->size()) : 0;
     data_.reserve(static_cast<size_t>(rows_) * cols_);
     for (const auto& row : values) {
       DFS_CHECK_EQ(static_cast<int>(row.size()), cols_);
-      for (T v : row) data_.push_back(v);
+      for (double v : row) data_.push_back(v);
     }
   }
 
-  static MatrixT Identity(int n) {
-    MatrixT m(n, n);
-    for (int i = 0; i < n; ++i) m(i, i) = T{1};
+  static Matrix Identity(int n) {
+    Matrix m(n, n);
+    for (int i = 0; i < n; ++i) m(i, i) = 1.0;
     return m;
   }
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
-  T& operator()(int r, int c) {
+  double& operator()(int r, int c) {
     DFS_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
-  T operator()(int r, int c) const {
+  double operator()(int r, int c) const {
     DFS_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
@@ -68,19 +61,19 @@ class MatrixT {
   // (scripts/check.sh --sanitize).
 
   /// Unchecked read (debug-only bounds check).
-  T At(int r, int c) const {
+  double At(int r, int c) const {
     DFS_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
   /// Unchecked write (debug-only bounds check).
-  void Set(int r, int c, T v) {
+  void Set(int r, int c, double v) {
     DFS_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     data_[static_cast<size_t>(r) * cols_ + c] = v;
   }
   /// Raw row-major storage, length rows()*cols(). Invalidated by Resize
   /// and by assignment, like RowSpan.
-  T* MutableData() { return data_.data(); }
-  const T* Data() const { return data_.data(); }
+  double* MutableData() { return data_.data(); }
+  const double* Data() const { return data_.data(); }
 
   /// Reshapes in place to rows x cols. Existing element values are NOT
   /// preserved in any meaningful layout; callers overwrite the contents
@@ -92,14 +85,15 @@ class MatrixT {
     DFS_CHECK_GE(cols, 0);
     rows_ = rows;
     cols_ = cols;
+    // DFS_ALLOC_OK: grows to the widest shape once, then reuses capacity
     data_.resize(static_cast<size_t>(rows) * cols);
   }
 
   /// Copies row `r` out. Prefer RowSpan on hot paths; Row exists for
   /// callers that need an owning copy outliving the matrix (tests that
   /// predict on rows of an expiring temporary).
-  std::vector<T> Row(int r) const {
-    std::vector<T> row(cols_);
+  std::vector<double> Row(int r) const {
+    std::vector<double> row(cols_);
     for (int c = 0; c < cols_; ++c) row[c] = (*this)(r, c);
     return row;
   }
@@ -108,79 +102,57 @@ class MatrixT {
   /// layout). One bounds check per row instead of one per element, which is
   /// what the knn / lasso inner loops need; invalidated when the matrix is
   /// destroyed or assigned over.
-  std::span<const T> RowSpan(int r) const {
+  std::span<const double> RowSpan(int r) const {
     DFS_CHECK(r >= 0 && r < rows_);
     return {data_.data() + static_cast<size_t>(r) * cols_,
             static_cast<size_t>(cols_)};
   }
 
   /// Raw pointer form of RowSpan (same lifetime rules).
-  const T* RowPtr(int r) const { return RowSpan(r).data(); }
+  const double* RowPtr(int r) const { return RowSpan(r).data(); }
 
   /// Copies column `c` out.
-  std::vector<T> Column(int c) const {
-    std::vector<T> col(rows_);
+  std::vector<double> Column(int c) const {
+    std::vector<double> col(rows_);
     for (int r = 0; r < rows_; ++r) col[r] = (*this)(r, c);
     return col;
   }
 
-  MatrixT Transpose() const {
-    MatrixT t(cols_, rows_);
+  Matrix Transpose() const {
+    Matrix t(cols_, rows_);
     for (int r = 0; r < rows_; ++r) {
       for (int c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
     }
     return t;
   }
 
-  /// Matrix product; requires cols() == other.rows(). The f64 case runs
-  /// through the blocked MatMatT kernel (both operands stream
-  /// row-contiguously against an explicit transpose of `other`).
-  MatrixT Multiply(const MatrixT& other) const {
+  /// Matrix product; requires cols() == other.rows(). Runs through the
+  /// blocked MatMatT kernel (both operands stream row-contiguously against
+  /// an explicit transpose of `other`).
+  Matrix Multiply(const Matrix& other) const {
     DFS_CHECK_EQ(cols_, other.rows_);
-    MatrixT result(rows_, other.cols_);
-    if constexpr (std::is_same_v<T, double>) {
-      const MatrixT bt = other.Transpose();
-      kernels::MatMatT(data_.data(), rows_, bt.Data(), other.cols_, cols_,
-                       result.MutableData());
-    } else {
-      for (int r = 0; r < rows_; ++r) {
-        for (int k = 0; k < cols_; ++k) {
-          T v = (*this)(r, k);
-          if (v == T{0}) continue;
-          for (int c = 0; c < other.cols_; ++c) {
-            result(r, c) += v * other(k, c);
-          }
-        }
-      }
-    }
+    Matrix result(rows_, other.cols_);
+    const Matrix bt = other.Transpose();
+    kernels::MatMatT(data_.data(), rows_, bt.Data(), other.cols_, cols_,
+                     result.MutableData());
     return result;
   }
 
   /// Matrix-vector product; requires cols() == v.size().
-  std::vector<T> MultiplyVector(std::span<const T> v) const {
+  std::vector<double> MultiplyVector(std::span<const double> v) const {
     DFS_CHECK_EQ(static_cast<int>(v.size()), cols_);
-    std::vector<T> result(rows_, T{0});
-    if constexpr (std::is_same_v<T, double>) {
-      kernels::MatVec(data_.data(), rows_, cols_, v.data(), 0.0,
-                      result.data());
-    } else {
-      for (int r = 0; r < rows_; ++r) {
-        T sum = T{0};
-        for (int c = 0; c < cols_; ++c) sum += (*this)(r, c) * v[c];
-        result[r] = sum;
-      }
-    }
+    std::vector<double> result(rows_, 0.0);
+    kernels::MatVec(data_.data(), rows_, cols_, v.data(), 0.0, result.data());
     return result;
   }
 
   /// Frobenius-norm of (this - other); requires equal shapes.
-  double FrobeniusDistance(const MatrixT& other) const {
+  double FrobeniusDistance(const Matrix& other) const {
     DFS_CHECK_EQ(rows_, other.rows_);
     DFS_CHECK_EQ(cols_, other.cols_);
     double sum = 0.0;
     for (size_t i = 0; i < data_.size(); ++i) {
-      double d = static_cast<double>(data_[i]) -
-                 static_cast<double>(other.data_[i]);
+      double d = data_[i] - other.data_[i];
       sum += d * d;
     }
     return std::sqrt(sum);
@@ -189,13 +161,8 @@ class MatrixT {
  private:
   int rows_;
   int cols_;
-  std::vector<T> data_;
+  std::vector<double> data_;
 };
-
-using Matrix = MatrixT<double>;
-
-/// Float32 storage for the opt-in f32 evaluation mode (DESIGN.md §2i).
-using Matrix32 = MatrixT<float>;
 
 /// Dot product; requires equal sizes.
 double Dot(std::span<const double> a, std::span<const double> b);

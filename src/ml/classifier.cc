@@ -21,20 +21,6 @@ const char* ModelKindToString(ModelKind kind) {
   return "?";
 }
 
-double Classifier::PredictProba32(std::span<const float> row) const {
-  // Widening fallback: exact f32 -> f64 conversion into reusable
-  // thread-local scratch, then the model's f64 kernel. Thread-local (not a
-  // member) because PredictProba32 is const and runs concurrently on
-  // shared models in the parallel engine.
-  // DFS_THREAD_LOCAL_OK: per-thread scratch; one model serves many threads.
-  thread_local std::vector<double> widened;
-  widened.resize(row.size());  // DFS_ALLOC_OK: reusable thread-local scratch
-  for (size_t i = 0; i < row.size(); ++i) {
-    widened[i] = static_cast<double>(row[i]);
-  }
-  return PredictProba(std::span<const double>(widened));
-}
-
 void Classifier::PredictBatch(const linalg::Matrix& x,
                               std::vector<int>* out) const {
   DFS_CHECK(out != nullptr);
@@ -42,15 +28,6 @@ void Classifier::PredictBatch(const linalg::Matrix& x,
   out->resize(n);  // DFS_ALLOC_OK: caller-owned capacity, warm after first use
   int* dst = out->data();
   for (int r = 0; r < n; ++r) dst[r] = Predict(x.RowSpan(r));
-}
-
-void Classifier::PredictBatch32(const linalg::Matrix32& x,
-                                std::vector<int>* out) const {
-  DFS_CHECK(out != nullptr);
-  const int n = x.rows();
-  out->resize(n);  // DFS_ALLOC_OK: caller-owned capacity, warm after first use
-  int* dst = out->data();
-  for (int r = 0; r < n; ++r) dst[r] = Predict32(x.RowSpan(r));
 }
 
 std::vector<int> Classifier::PredictBatch(const linalg::Matrix& x) const {

@@ -59,22 +59,12 @@ class Classifier {
     return PredictProba(std::span<const double>(row));
   }
 
-  /// P(y = 1 | row) from f32 storage: the opt-in f32 evaluation mode
-  /// (DESIGN.md §2i). Model parameters and accumulation stay f64 — the
-  /// default widens the row to f64 in thread-local scratch and calls the
-  /// f64 kernel, which is correct for every model; LR/SVM/NB override
-  /// with native mixed-precision kernels that widen lanes inline.
-  DFS_HOT virtual double PredictProba32(std::span<const float> row) const;
-
   /// Hard prediction at threshold 0.5.
   DFS_HOT virtual int Predict(std::span<const double> row) const {
     return PredictProba(row) >= 0.5 ? 1 : 0;
   }
   int Predict(const std::vector<double>& row) const {
     return Predict(std::span<const double>(row));
-  }
-  int Predict32(std::span<const float> row) const {
-    return PredictProba32(row) >= 0.5 ? 1 : 0;
   }
 
   /// Hard predictions for every row of `x`, written into `*out` (resized to
@@ -85,11 +75,6 @@ class Classifier {
   /// on it).
   DFS_HOT virtual void PredictBatch(const linalg::Matrix& x,
                                     std::vector<int>* out) const;
-
-  /// f32-storage batch predict (same contract as PredictBatch; the
-  /// default loops Predict32 row-by-row).
-  DFS_HOT virtual void PredictBatch32(const linalg::Matrix32& x,
-                                      std::vector<int>* out) const;
 
   /// Allocating convenience form of the above.
   std::vector<int> PredictBatch(const linalg::Matrix& x) const;

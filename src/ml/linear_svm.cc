@@ -60,15 +60,6 @@ double LinearSvm::PredictProba(std::span<const double> row) const {
   return Sigmoid(4.0 * margin);  // squash; scale keeps mid-margins soft
 }
 
-double LinearSvm::PredictProba32(std::span<const float> row) const {
-  DFS_DCHECK(fitted_) << "PredictProba32 before Fit";
-  DFS_DCHECK(row.size() == weights_.size());
-  const double margin =
-      intercept_ +
-      linalg::kernels::DotF32(row.data(), weights_.data(), row.size());
-  return Sigmoid(4.0 * margin);
-}
-
 void LinearSvm::PredictBatch(const linalg::Matrix& x,
                              std::vector<int>* out) const {
   DFS_CHECK(out != nullptr);
@@ -83,23 +74,6 @@ void LinearSvm::PredictBatch(const linalg::Matrix& x,
   int* dst = out->data();
   // Same Sigmoid-then-threshold contract as LogisticRegression::
   // PredictBatch (margin-sign tests are not FP-equivalent).
-  for (int r = 0; r < n; ++r) {
-    dst[r] = Sigmoid(4.0 * margins[r]) >= 0.5 ? 1 : 0;
-  }
-}
-
-void LinearSvm::PredictBatch32(const linalg::Matrix32& x,
-                               std::vector<int>* out) const {
-  DFS_CHECK(out != nullptr);
-  DFS_DCHECK(fitted_) << "PredictBatch32 before Fit";
-  const int n = x.rows();
-  out->resize(n);  // DFS_ALLOC_OK: caller-owned capacity, warm after first use
-  // DFS_THREAD_LOCAL_OK: per-thread scratch; one model serves many threads.
-  thread_local std::vector<double> margins;
-  margins.resize(n);  // DFS_ALLOC_OK: reusable thread-local scratch
-  linalg::kernels::MatVecF32(x.Data(), n, x.cols(), weights_.data(),
-                             intercept_, margins.data());
-  int* dst = out->data();
   for (int r = 0; r < n; ++r) {
     dst[r] = Sigmoid(4.0 * margins[r]) >= 0.5 ? 1 : 0;
   }

@@ -22,15 +22,10 @@ class LinearSvm : public Classifier {
   /// override would otherwise hide it from unqualified lookup).
   using Classifier::PredictProba;
 
-  /// Native mixed-precision path (f64 weights x f32 row, f64 accumulate).
-  double PredictProba32(std::span<const float> row) const override;
-
   /// Batched margins via the blocked MatVec kernel; bitwise-equal to the
   /// base per-row loop (same canonical dot per row).
   void PredictBatch(const linalg::Matrix& x,
                     std::vector<int>* out) const override;
-  void PredictBatch32(const linalg::Matrix32& x,
-                      std::vector<int>* out) const override;
   using Classifier::PredictBatch;
 
   /// |w_j| per feature.

@@ -66,15 +66,6 @@ double LogisticRegression::PredictProba(std::span<const double> row) const {
   return Sigmoid(margin);
 }
 
-double LogisticRegression::PredictProba32(std::span<const float> row) const {
-  DFS_DCHECK(fitted_) << "PredictProba32 before Fit";
-  DFS_DCHECK(row.size() == weights_.size());
-  const double margin =
-      intercept_ +
-      linalg::kernels::DotF32(row.data(), weights_.data(), row.size());
-  return Sigmoid(margin);
-}
-
 void LogisticRegression::PredictBatch(const linalg::Matrix& x,
                                       std::vector<int>* out) const {
   DFS_CHECK(out != nullptr);
@@ -90,21 +81,6 @@ void LogisticRegression::PredictBatch(const linalg::Matrix& x,
   // Threshold through Sigmoid, not on the margin sign: Sigmoid(m) can
   // round to exactly 0.5 for tiny negative m, so the two tests are not
   // FP-equivalent and the per-row PredictProba path is the contract.
-  for (int r = 0; r < n; ++r) dst[r] = Sigmoid(margins[r]) >= 0.5 ? 1 : 0;
-}
-
-void LogisticRegression::PredictBatch32(const linalg::Matrix32& x,
-                                        std::vector<int>* out) const {
-  DFS_CHECK(out != nullptr);
-  DFS_DCHECK(fitted_) << "PredictBatch32 before Fit";
-  const int n = x.rows();
-  out->resize(n);  // DFS_ALLOC_OK: caller-owned capacity, warm after first use
-  // DFS_THREAD_LOCAL_OK: per-thread scratch; one model serves many threads.
-  thread_local std::vector<double> margins;
-  margins.resize(n);  // DFS_ALLOC_OK: reusable thread-local scratch
-  linalg::kernels::MatVecF32(x.Data(), n, x.cols(), weights_.data(),
-                             intercept_, margins.data());
-  int* dst = out->data();
   for (int r = 0; r < n; ++r) dst[r] = Sigmoid(margins[r]) >= 0.5 ? 1 : 0;
 }
 

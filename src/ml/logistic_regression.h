@@ -22,16 +22,10 @@ class LogisticRegression : public Classifier {
   /// override would otherwise hide it from unqualified lookup).
   using Classifier::PredictProba;
 
-  /// Native mixed-precision path: f32 row lanes widened inline against the
-  /// f64 weights (bitwise-equal to widening the whole row first).
-  double PredictProba32(std::span<const float> row) const override;
-
   /// Batched margins through the blocked MatVec kernel; bitwise-equal to
   /// the base per-row loop because both run the same canonical dot.
   void PredictBatch(const linalg::Matrix& x,
                     std::vector<int>* out) const override;
-  void PredictBatch32(const linalg::Matrix32& x,
-                      std::vector<int>* out) const override;
   using Classifier::PredictBatch;
 
   /// |w_j| per feature.

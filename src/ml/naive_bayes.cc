@@ -113,21 +113,4 @@ double GaussianNaiveBayes::PredictProba(std::span<const double> row) const {
   return e1 / (e0 + e1);
 }
 
-double GaussianNaiveBayes::PredictProba32(std::span<const float> row) const {
-  DFS_DCHECK(fitted_) << "PredictProba32 before Fit";
-  DFS_DCHECK(row.size() == mean_[0].size());
-  const float* v = row.data();
-  const size_t d = row.size();
-  double log_likelihood[2];
-  for (int k = 0; k < 2; ++k) {
-    log_likelihood[k] =
-        log_norm_[k] - linalg::kernels::WeightedSquaredDiffF32(
-                           v, mean_[k].data(), inv2var_[k].data(), d);
-  }
-  const double max_ll = std::max(log_likelihood[0], log_likelihood[1]);
-  const double e0 = std::exp(log_likelihood[0] - max_ll);
-  const double e1 = std::exp(log_likelihood[1] - max_ll);
-  return e1 / (e0 + e1);
-}
-
 }  // namespace dfs::ml

@@ -22,9 +22,6 @@ class GaussianNaiveBayes : public Classifier {
   /// override would otherwise hide it from unqualified lookup).
   using Classifier::PredictProba;
 
-  /// Native mixed-precision path (f32 row, f64 statistics/accumulation).
-  double PredictProba32(std::span<const float> row) const override;
-
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<GaussianNaiveBayes>(params_);
   }

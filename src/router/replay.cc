@@ -2,12 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "data/synthetic.h"
 #include "obs/trace.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 namespace dfs::router {
@@ -225,15 +225,12 @@ Status SelfCheckOnePolicy(const std::string& policy,
   }
   obs::TraceWriter::Close();
 
-  std::ifstream trace_in(trace_path, std::ios::binary);
-  if (!trace_in) return InternalError("cannot reopen trace: " + trace_path);
-  std::ostringstream trace;
-  trace << trace_in.rdbuf();
+  DFS_ASSIGN_OR_RETURN(const std::string trace, util::ReadFile(trace_path));
 
   StrategyRouter restored;
   DFS_RETURN_IF_ERROR(restored.RestoreState(snapshot));
   DFS_ASSIGN_OR_RETURN(const ReplayReport report,
-                       VerifyTrace(restored, trace.str()));
+                       VerifyTrace(restored, trace));
   if (report.checked < 8) {
     return InternalError("policy " + policy + ": expected >= 8 replayable "
                          "decisions, checked " +

@@ -2,13 +2,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "router/replay.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 namespace dfs::router {
@@ -771,18 +771,12 @@ Status StrategyRouter::RestoreState(const std::string& text) {
 
 Status StrategyRouter::SaveToFile(const std::string& path) const {
   DFS_ASSIGN_OR_RETURN(const std::string text, Serialize());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot write file: " + path);
-  out << text;
-  return OkStatus();
+  return util::WriteFile(path, text);
 }
 
 Status StrategyRouter::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreState(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string text, util::ReadFile(path));
+  return RestoreState(text);
 }
 
 }  // namespace dfs::router

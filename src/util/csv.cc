@@ -1,7 +1,8 @@
 #include "util/csv.h"
 
-#include <fstream>
 #include <sstream>
+
+#include "util/file.h"
 
 namespace dfs {
 namespace {
@@ -102,11 +103,8 @@ StatusOr<CsvTable> ParseCsv(const std::string& text) {
 }
 
 StatusOr<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str());
+  DFS_ASSIGN_OR_RETURN(const std::string text, util::ReadFile(path));
+  return ParseCsv(text);
 }
 
 std::string WriteCsv(const CsvTable& table) {
@@ -127,10 +125,7 @@ std::string WriteCsv(const CsvTable& table) {
 }
 
 Status WriteCsvFile(const CsvTable& table, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot write file: " + path);
-  out << WriteCsv(table);
-  return OkStatus();
+  return util::WriteFile(path, WriteCsv(table));
 }
 
 }  // namespace dfs

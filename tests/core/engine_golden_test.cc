@@ -393,117 +393,5 @@ TEST(EngineGoldenPrivacyTest, DpEvaluationMatchesReference) {
   }
 }
 
-// --- f32 evaluation mode (DESIGN.md §2i) -------------------------------
-
-// Reference for the f32 measurement path: the same f64-trained model
-// applied to the f32-quantized split, widened back to f64. The engine's
-// mixed-precision kernels widen each stored float exactly before
-// accumulating in f64, so f32-mode metrics must equal this reference
-// bitwise — the ONLY source of f32-mode drift is storage quantization.
-constraints::MetricValues ReferenceMeasureF32(
-    const MlScenario& scenario, const ml::Classifier& model,
-    const std::vector<int>& features, const data::Dataset& split) {
-  const int total = scenario.split.train.num_features();
-  constraints::MetricValues values;
-  values.selected_features = static_cast<int>(features.size());
-  values.total_features = total;
-  values.feature_fraction =
-      static_cast<double>(features.size()) / std::max(1, total);
-  linalg::Matrix32 x32;
-  split.GatherInto(features, &x32);
-  linalg::Matrix widened(x32.rows(), x32.cols());
-  for (int r = 0; r < x32.rows(); ++r) {
-    for (int c = 0; c < x32.cols(); ++c) {
-      widened(r, c) = static_cast<double>(x32(r, c));
-    }
-  }
-  const std::vector<int> predictions = model.PredictBatch(widened);
-  values.f1 = metrics::F1Score(split.labels(), predictions);
-  if (scenario.constraint_set.min_equal_opportunity.has_value()) {
-    values.equal_opportunity =
-        metrics::EqualOpportunity(split.labels(), predictions, split.groups());
-  }
-  return values;
-}
-
-TEST(EngineGoldenF32Test, F32EvaluationEqualsWidenedReference) {
-  constraints::ConstraintSet constraints;
-  constraints.min_f1 = 0.55;
-  constraints.min_equal_opportunity = 0.1;
-  for (const auto kind : {ml::ModelKind::kLogisticRegression,
-                          ml::ModelKind::kNaiveBayes,
-                          ml::ModelKind::kDecisionTree,
-                          ml::ModelKind::kLinearSvm}) {
-    MlScenario scenario = MakeGoldenScenario(kind, constraints);
-    EngineOptions options;
-    options.num_threads = 1;
-    options.use_f32_eval = true;
-    DfsEngine engine(scenario, options);
-    const int n = scenario.split.train.num_features();
-    for (const auto& mask :
-         {fs::IndicesToMask(n, {0, 1}), fs::IndicesToMask(n, {1, 2, 3})}) {
-      const fs::EvalOutcome actual = engine.Evaluate(mask);
-      ASSERT_TRUE(actual.evaluated);
-      const std::vector<int> features = fs::MaskToIndices(mask);
-      // Training is f64 in both modes; only measurement quantizes.
-      auto model = ReferenceTrain(scenario, options, features);
-      ASSERT_TRUE(model.ok());
-      const constraints::MetricValues val = ReferenceMeasureF32(
-          scenario, **model, features, scenario.split.validation);
-      ExpectBitwiseEqual(val, actual.validation);
-      EXPECT_EQ(actual.satisfied_validation,
-                scenario.constraint_set.Satisfied(val));
-    }
-  }
-}
-
-// Characterization: on unit-scale data the f32 quantization moves a
-// prediction only when a decision margin sits within ~2^-24-scale noise of
-// the threshold, so metric deltas stay small — but they are NOT zero by
-// contract, which is why §2d binds f32 mode only to itself.
-TEST(EngineGoldenF32Test, F32MetricsStayCloseToF64) {
-  constraints::ConstraintSet constraints;
-  constraints.min_f1 = 0.55;
-  MlScenario scenario =
-      MakeGoldenScenario(ml::ModelKind::kLogisticRegression, constraints);
-  EngineOptions f64_options;
-  f64_options.num_threads = 1;
-  EngineOptions f32_options = f64_options;
-  f32_options.use_f32_eval = true;
-  DfsEngine f64_engine(scenario, f64_options);
-  DfsEngine f32_engine(scenario, f32_options);
-  const int n = scenario.split.train.num_features();
-  for (const auto& mask : GoldenMasks(n)) {
-    const fs::EvalOutcome a = f64_engine.Evaluate(mask);
-    const fs::EvalOutcome b = f32_engine.Evaluate(mask);
-    ASSERT_EQ(a.evaluated, b.evaluated);
-    if (a.evaluated) EXPECT_NEAR(a.validation.f1, b.validation.f1, 0.06);
-  }
-}
-
-// A safety constraint forces the f64 path: the robustness attack perturbs
-// a gathered f64 matrix in place, so use_f32_eval must be ignored and the
-// results must be bitwise identical to a plain f64 engine.
-TEST(EngineGoldenF32Test, SafetyConstraintDisablesF32Mode) {
-  constraints::ConstraintSet constraints;
-  constraints.min_f1 = 0.55;
-  constraints.min_safety = 0.5;
-  MlScenario scenario =
-      MakeGoldenScenario(ml::ModelKind::kLogisticRegression, constraints);
-  EngineOptions f64_options;
-  f64_options.num_threads = 1;
-  f64_options.robustness.max_attacked_rows = 6;
-  f64_options.robustness.attack.max_queries = 60;
-  EngineOptions f32_options = f64_options;
-  f32_options.use_f32_eval = true;
-  DfsEngine f64_engine(scenario, f64_options);
-  DfsEngine f32_engine(scenario, f32_options);
-  const int n = scenario.split.train.num_features();
-  for (const auto& mask :
-       {fs::IndicesToMask(n, {0, 1}), fs::IndicesToMask(n, {2, 3})}) {
-    ExpectOutcomeEqual(f64_engine.Evaluate(mask), f32_engine.Evaluate(mask));
-  }
-}
-
 }  // namespace
 }  // namespace dfs::core

@@ -1,16 +1,14 @@
 // Bitwise-equivalence proofs for the dispatched evaluation kernels
-// (DESIGN.md §2i): whatever ISA the runtime dispatch selects, every f64
+// (DESIGN.md §2i): whatever ISA the runtime dispatch selects, every
 // reduction must match the reference:: spelling of the canonical 8-lane
-// accumulation order bit for bit, and the mixed-precision kernels must
-// equal the same reduction run on exactly-widened inputs. Also proves the
-// chunked Dataset::GatherInto is a pure store reordering (bit-identical
-// for every block size) and characterizes the f32 storage error.
+// accumulation order bit for bit. Also proves the chunked
+// Dataset::GatherInto is a pure store reordering (bit-identical for every
+// block size).
 
 #include "linalg/kernels.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -33,23 +31,6 @@ std::vector<double> RandomVector(std::size_t n, Rng* rng, double lo = -2.0,
   std::vector<double> v(n);
   for (auto& x : v) x = rng->Uniform(lo, hi);
   return v;
-}
-
-std::vector<float> Narrow(const std::vector<double>& v) {
-  std::vector<float> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = static_cast<float>(v[i]);
-  }
-  return out;
-}
-
-// Exact widening: every float is representable in double.
-std::vector<double> Widen(const std::vector<float>& v) {
-  std::vector<double> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = static_cast<double>(v[i]);
-  }
-  return out;
 }
 
 TEST(KernelsTest, ActiveIsaIsKnown) {
@@ -93,37 +74,6 @@ TEST(KernelsTest, WeightedSquaredDiffMatchesReferenceBitwise) {
   }
 }
 
-TEST(KernelsTest, DotF32EqualsDotOnWidenedInputBitwise) {
-  Rng rng(14);
-  for (std::size_t n : kSizes) {
-    const auto xf = Narrow(RandomVector(n, &rng));
-    const auto w = RandomVector(n, &rng);
-    const auto widened = Widen(xf);
-    // Widening is exact and the lane order is shared, so the mixed-
-    // precision kernel is bitwise the f64 kernel on the widened row.
-    EXPECT_EQ(DotF32(xf.data(), w.data(), n),
-              Dot(widened.data(), w.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(DotF32(xf.data(), w.data(), n),
-              reference::DotF32(xf.data(), w.data(), n))
-        << "n=" << n;
-  }
-}
-
-TEST(KernelsTest, WeightedSquaredDiffF32EqualsWidenedBitwise) {
-  Rng rng(15);
-  for (std::size_t n : kSizes) {
-    const auto xf = Narrow(RandomVector(n, &rng));
-    const auto mean = RandomVector(n, &rng);
-    const auto inv2var = RandomVector(n, &rng, 0.1, 10.0);
-    const auto widened = Widen(xf);
-    EXPECT_EQ(
-        WeightedSquaredDiffF32(xf.data(), mean.data(), inv2var.data(), n),
-        WeightedSquaredDiff(widened.data(), mean.data(), inv2var.data(), n))
-        << "n=" << n;
-  }
-}
-
 TEST(KernelsTest, MatVecMatchesReferenceAndPerRowDot) {
   Rng rng(16);
   for (int cols : {1, 7, 16, 33, 129}) {
@@ -140,21 +90,6 @@ TEST(KernelsTest, MatVecMatchesReferenceAndPerRowDot) {
                                                   cols,
                                    w.data(), cols));
     }
-  }
-}
-
-TEST(KernelsTest, MatVecF32MatchesPerRowDotF32) {
-  Rng rng(17);
-  const int rows = 5, cols = 37;
-  const auto xf =
-      Narrow(RandomVector(static_cast<std::size_t>(rows) * cols, &rng));
-  const auto w = RandomVector(cols, &rng);
-  std::vector<double> got(rows);
-  MatVecF32(xf.data(), rows, cols, w.data(), 0.25, got.data());
-  for (int r = 0; r < rows; ++r) {
-    EXPECT_EQ(got[r],
-              0.25 + DotF32(xf.data() + static_cast<std::size_t>(r) * cols,
-                            w.data(), cols));
   }
 }
 
@@ -204,28 +139,6 @@ TEST(KernelsTest, AxpyScaleAndStridedAxpy) {
   EXPECT_EQ(a, (std::vector<double>{22.0, 44.0, 66.0}));
 }
 
-// --- f32 storage error characterization -------------------------------
-
-TEST(KernelsTest, F32DotErrorBoundedByStorageQuantization) {
-  Rng rng(21);
-  const std::size_t n = 1000;
-  // Unit-scale inputs, like preprocessed dataset columns.
-  const auto x = RandomVector(n, &rng, 0.0, 1.0);
-  const auto w = RandomVector(n, &rng);
-  const auto xf = Narrow(x);
-  const double exact = Dot(x.data(), w.data(), n);
-  const double quantized = DotF32(xf.data(), w.data(), n);
-  // Per-element quantization error <= |x_i| * 2^-24; the f64 accumulation
-  // adds only O(n * eps_f64) on top, negligible here. Documented §2i bound.
-  double budget = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    budget += std::abs(x[i] * w[i]);
-  }
-  budget *= std::ldexp(1.0, -24) * 1.01;
-  EXPECT_LE(std::abs(quantized - exact), budget);
-  EXPECT_GT(budget, 0.0);
-}
-
 // --- Chunked GatherInto ------------------------------------------------
 
 TEST(GatherIntoChunkedTest, EveryBlockSizeIsBitIdenticalF64) {
@@ -243,45 +156,6 @@ TEST(GatherIntoChunkedTest, EveryBlockSizeIsBitIdenticalF64) {
                           sizeof(double) * chunked.rows() * chunked.cols()),
               0)
         << "block=" << block;
-  }
-}
-
-TEST(GatherIntoChunkedTest, EveryBlockSizeIsBitIdenticalF32) {
-  data::Dataset dataset = dfs::testing::MakeLinearDataset(301, 2, 42);
-  const std::vector<int> features = {1, 3, 0};
-  Matrix32 no_mirror;
-  dataset.GatherInto(features, &no_mirror, /*block_rows=*/0);
-  dataset.BuildF32Mirror();
-  Matrix32 monolithic;
-  dataset.GatherInto(features, &monolithic,
-                     /*block_rows=*/dataset.num_rows());
-  // Mirror and cast-on-the-fly paths produce the same bytes: both are
-  // static_cast<float> of the same f64 column values.
-  ASSERT_EQ(no_mirror.rows(), monolithic.rows());
-  EXPECT_EQ(std::memcmp(no_mirror.Data(), monolithic.Data(),
-                        sizeof(float) * monolithic.rows() * monolithic.cols()),
-            0);
-  for (int block : {1, 7, 64, 0}) {
-    Matrix32 chunked;
-    dataset.GatherInto(features, &chunked, block);
-    ASSERT_EQ(chunked.rows(), monolithic.rows());
-    ASSERT_EQ(chunked.cols(), monolithic.cols());
-    EXPECT_EQ(std::memcmp(chunked.Data(), monolithic.Data(),
-                          sizeof(float) * chunked.rows() * chunked.cols()),
-              0)
-        << "block=" << block;
-  }
-}
-
-TEST(GatherIntoChunkedTest, F32MirrorMatchesColumnValues) {
-  data::Dataset dataset = dfs::testing::MakeLinearDataset(50, 1, 43);
-  dataset.BuildF32Mirror();
-  Matrix32 gathered;
-  dataset.GatherInto(dataset.AllFeatures(), &gathered);
-  for (int r = 0; r < dataset.num_rows(); ++r) {
-    for (int f = 0; f < dataset.num_features(); ++f) {
-      EXPECT_EQ(gathered(r, f), static_cast<float>(dataset.Column(f)[r]));
-    }
   }
 }
 

@@ -72,6 +72,32 @@ TEST_P(ClassifierParamTest, RejectsLabelSizeMismatch) {
   EXPECT_FALSE(model->Fit(linalg::Matrix(4, 2), {0, 1}).ok());
 }
 
+// PredictBatch overrides must stay bitwise-equal to the per-row Predict
+// loop (the classifier.h contract). Widths 3 and 12 sit on either side of
+// kernels::detail::kInlineWidth, so both the inline and the dispatched
+// reductions are covered, for the standard and the DP model of each kind.
+TEST_P(ClassifierParamTest, PredictBatchEqualsPerRowPredict) {
+  for (const int width : {3, 12}) {
+    const data::Dataset train =
+        testing::MakeLinearDataset(240, width - 2, 27 + width);
+    const linalg::Matrix x = ToMatrix(train);
+    std::vector<std::unique_ptr<Classifier>> models;
+    models.push_back(CreateClassifier(GetParam(), Hyperparameters()));
+    models.push_back(
+        CreateDpClassifier(GetParam(), Hyperparameters(), /*epsilon=*/1.0, 93));
+    for (const auto& model : models) {
+      ASSERT_TRUE(model->Fit(x, train.labels()).ok()) << model->name();
+      std::vector<int> batch;
+      model->PredictBatch(x, &batch);
+      ASSERT_EQ(static_cast<int>(batch.size()), x.rows());
+      for (int r = 0; r < x.rows(); ++r) {
+        EXPECT_EQ(batch[r], model->Predict(x.RowSpan(r)))
+            << model->name() << " width " << width << " row " << r;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModels, ClassifierParamTest,
     ::testing::Values(ModelKind::kLogisticRegression, ModelKind::kNaiveBayes,

@@ -19,12 +19,11 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "router/replay.h"
 #include "router/router.h"
+#include "util/file.h"
 #include "util/flags.h"
 
 namespace dfs {
@@ -43,15 +42,13 @@ int RunVerify(const ReplayOptions& options) {
     std::fprintf(stderr, "snapshot: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::ifstream in(options.trace, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "trace: cannot open %s\n", options.trace.c_str());
+  auto trace = util::ReadFile(options.trace);
+  if (!trace.ok()) {
+    std::fprintf(stderr, "trace: %s\n", trace.status().ToString().c_str());
     return 1;
   }
-  std::ostringstream trace;
-  trace << in.rdbuf();
 
-  auto report = router::VerifyTrace(router, trace.str());
+  auto report = router::VerifyTrace(router, *trace);
   if (!report.ok()) {
     std::fprintf(stderr, "verify: %s\n", report.status().ToString().c_str());
     return 1;
