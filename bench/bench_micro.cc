@@ -121,7 +121,7 @@ void BM_EngineEvalCache(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEvalCache)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// ---- Shared eval-cache miss path (membership filter on/off) ----------
+// ---- Shared eval-cache miss path -------------------------------------
 
 fs::FeatureMask CacheBenchMask(uint32_t id, bool resident) {
   // Unique mask per id: the id's bits select among features 1..32;
@@ -136,16 +136,10 @@ fs::FeatureMask CacheBenchMask(uint32_t id, bool resident) {
 }
 
 // Cost of one negative Lookup against a populated cache — the dominant
-// shared-cache operation under a served workload (most masks are new).
-// With the filter on, the miss is answered by a few relaxed atomic loads;
-// off, it pays the shard mutex + map probe (the ISSUE-7 tentpole gate:
-// filter-on must beat filter-off in bench_diff.py).
+// shared-cache operation under a served workload (most masks are new):
+// the shard mutex plus one map probe.
 void BM_EvalCacheMiss(benchmark::State& state) {
-  const bool filter = state.range(0) != 0;
-  state.SetLabel(filter ? "filter on" : "filter off");
-  core::EvalCacheOptions options;
-  options.enable_filter = filter;
-  core::ShardedEvalCache cache(options);
+  core::ShardedEvalCache cache;
   fs::EvalOutcome outcome;
   outcome.evaluated = true;
   for (uint32_t id = 0; id < 4096; ++id) {
@@ -163,7 +157,7 @@ void BM_EvalCacheMiss(benchmark::State& state) {
     benchmark::DoNotOptimize(cache.Lookup(probes[i++ % kProbes], &hit));
   }
 }
-BENCHMARK(BM_EvalCacheMiss)->Arg(0)->Arg(1);
+BENCHMARK(BM_EvalCacheMiss);
 
 // Warm restart: rebuilding a cache from its spilled blob (docs/CACHE.md),
 // the work dfs_serverd --eval-cache-state does at boot. Serialization is

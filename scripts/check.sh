@@ -161,10 +161,9 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     dfs_loadgen
   # Covers the hot-path kernels (GatherInto, span PredictBatch, one
   # uncached evaluation), the Arg(1) serial baseline through Arg(0)
-  # full-budget candidate sweep, the eval-cache miss probe with the
-  # membership filter off/on (the filter-on row must be cheaper), and the
-  # warm-restart spill decode; DFS_THREADS caps the budget so the
-  # snapshot is reproducible on wide machines.
+  # full-budget candidate sweep, the eval-cache miss probe (one locked
+  # map probe), and the warm-restart spill decode; DFS_THREADS caps the
+  # budget so the snapshot is reproducible on wide machines.
   out="${2:-BENCH_results.json}"
   DFS_THREADS="${DFS_THREADS:-4}" ./build-bench/bench/bench_micro \
     --benchmark_filter='EngineEvaluateBatch|EvaluateUncached|GatherInto|PredictBatchSpan|EvalCache|MatVec|SquaredDistanceSpan' \
@@ -177,10 +176,10 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --benchmark_filter='ServeRoutedThroughput' \
     --benchmark_min_time=0.2 \
     --json "$out.routed"
-  # Serve front-end under open-loop load (tools/dfs_loadgen, real TCP):
-  #   * epoll vs the thread-per-connection baseline at moderate load —
-  #     bench_diff.py gates the front-end p50/p95/p99 rows against the
-  #     committed snapshot (ISSUE 9's "p99 no worse than baseline").
+  # Serve front-end under open-loop load (tools/dfs_loadgen, real TCP,
+  # the epoll event loop):
+  #   * moderate load — bench_diff.py gates the front-end p50/p95/p99
+  #     rows against the committed snapshot.
   #   * 1k+ concurrent channels sustained through the event loop.
   #   * submit workload pushed past saturation with the admission
   #     watermark on: throughput plateaus and sheds rise (the shed/error
@@ -188,17 +187,14 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   #     gateable rows).
   ./build-bench/tools/dfs_loadgen --workload ping --mode open \
     --connections 64 --rate 500 --requests 1500 --json "$out.lg_epoll"
-  ./build-bench/tools/dfs_loadgen --frontend threads --workload ping \
-    --mode open --connections 64 --rate 500 --requests 1500 \
-    --json "$out.lg_threads"
   ./build-bench/tools/dfs_loadgen --workload ping --mode open \
     --connections 1024 --rate 2000 --requests 10000 \
     --json "$out.lg_1k"
   ./build-bench/tools/dfs_loadgen --workload submit --mode open \
     --connections 64 --rate 4000 --requests 8000 --workers 1 \
     --queue-capacity 16 --shed-watermark 16 --json "$out.lg_shed"
-  python3 - "$out" "$out.routed" "$out.lg_epoll" "$out.lg_threads" \
-    "$out.lg_1k" "$out.lg_shed" <<'PY'
+  python3 - "$out" "$out.routed" "$out.lg_epoll" "$out.lg_1k" \
+    "$out.lg_shed" <<'PY'
 import json, sys
 main_path, extra_paths = sys.argv[1], sys.argv[2:]
 with open(main_path, encoding="utf-8") as fh:
@@ -211,8 +207,7 @@ with open(main_path, "w", encoding="utf-8") as fh:
     json.dump(report, fh, indent=2)
     fh.write("\n")
 PY
-  rm -f "$out.routed" "$out.lg_epoll" "$out.lg_threads" "$out.lg_1k" \
-    "$out.lg_shed"
+  rm -f "$out.routed" "$out.lg_epoll" "$out.lg_1k" "$out.lg_shed"
   # Note: the JSON's "library_build_type" describes the *system*
   # libbenchmark (Debian ships it non-NDEBUG, i.e. "debug" forever);
   # "dfs_build_type" is this library's own build and is the one gated.

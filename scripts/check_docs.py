@@ -8,15 +8,19 @@
    and every declared binary is named in EXPERIMENTS.md (no
    undocumented benchmarks).
 3. Every `DFS_*` environment variable the code reads (any
-   `getenv("DFS_...")` under src/ or bench/) is documented in
+   `getenv("DFS_...")` under src/, bench/ or tools/) is documented in
    EXPERIMENTS.md — env knobs must not be discoverable only by reading
-   the source.
+   the source — and every `DFS_*` row of EXPERIMENTS.md's knob tables is
+   read by such a getenv or is a root `option(DFS_*)`, so a removed knob
+   cannot stay documented.
 4. Every tool binary declared in tools/CMakeLists.txt (`dfs_*`) is
    mentioned in at least one top-level or docs/ Markdown file — a tool
    nobody can find from the docs is a tool nobody runs.
 5. Every `cache.*` instrument the code registers (counter/gauge/histogram
    under src/) appears in docs/PROTOCOL.md's instrument registry — the
-   cache surface is documented by name, not by archaeology.
+   cache surface is documented by name, not by archaeology — and every
+   `cache.*` row of that registry is registered under src/, so a removed
+   instrument cannot stay documented.
 6. The on-disk format version documented in docs/CACHE.md matches
    `kEvalCacheFormatVersion` in src/core/eval_cache.h, so the byte-level
    spec can never drift silently from the decoder.
@@ -104,21 +108,41 @@ def check_bench_binaries():
     return errors
 
 
+def table_rows(text, prefix):
+    """Names in the first cell of Markdown table rows (`| `name` | ...`)
+    that start with `prefix` (a regex)."""
+    return set(re.findall(r"^\|\s*`(" + prefix + r"[A-Za-z0-9_.]+)`", text,
+                          re.MULTILINE))
+
+
+def root_build_options():
+    with open(os.path.join(REPO, "CMakeLists.txt"), encoding="utf-8") as f:
+        return set(re.findall(r"option\(\s*(DFS_[A-Z0-9_]+)", f.read()))
+
+
 def check_env_knobs():
     getenv_re = re.compile(r"getenv\(\s*\"(DFS_[A-Z0-9_]+)\"")
     read = {}
-    for root in ("src", "bench"):
+    for root in ("src", "bench", "tools"):
         pattern = os.path.join(REPO, root, "**", "*.cc")
         for path in sorted(glob.glob(pattern, recursive=True)):
             with open(path, encoding="utf-8") as handle:
                 for name in getenv_re.findall(handle.read()):
                     read.setdefault(name, os.path.relpath(path, REPO))
     with open(os.path.join(REPO, "EXPERIMENTS.md"), encoding="utf-8") as f:
-        documented = set(re.findall(r"\b(DFS_[A-Z0-9_]+)\b", f.read()))
-    return [
+        text = f.read()
+    documented = set(re.findall(r"\b(DFS_[A-Z0-9_]+)\b", text))
+    errors = [
         f"{path} reads '{name}' but EXPERIMENTS.md does not document it"
         for name, path in sorted(read.items()) if name not in documented
     ]
+    errors += [
+        f"EXPERIMENTS.md documents knob '{name}' but no getenv under src/, "
+        f"bench/ or tools/ reads it and CMakeLists.txt declares no such "
+        f"option" for name in sorted(table_rows(text, "DFS_") - set(read) -
+                                     root_build_options())
+    ]
+    return errors
 
 
 def check_tool_binaries():
@@ -150,12 +174,19 @@ def check_cache_instruments():
                 registered.setdefault(name, os.path.relpath(path, REPO))
     with open(os.path.join(REPO, "docs", "PROTOCOL.md"),
               encoding="utf-8") as f:
-        documented = set(re.findall(r"\b(cache\.[a-z0-9_.]+)\b", f.read()))
-    return [
+        text = f.read()
+    documented = set(re.findall(r"\b(cache\.[a-z0-9_.]+)\b", text))
+    errors = [
         f"{path} registers instrument '{name}' but docs/PROTOCOL.md does "
         f"not list it" for name, path in sorted(registered.items())
         if name not in documented
     ]
+    errors += [
+        f"docs/PROTOCOL.md lists instrument '{name}' but nothing under src/ "
+        f"registers it"
+        for name in sorted(table_rows(text, r"cache\.") - set(registered))
+    ]
+    return errors
 
 
 def check_cache_format_version():
@@ -198,8 +229,7 @@ def check_engine_options_and_build_options():
                 "(update check_docs.py)"]
     body = re.sub(r"//[^\n]*", "", struct.group(1))
     fields = set(re.findall(r"(\w+)\s*(?:=[^;]*)?;", body))
-    with open(os.path.join(REPO, "CMakeLists.txt"), encoding="utf-8") as f:
-        options = set(re.findall(r"option\(\s*(DFS_[A-Z0-9_]+)", f.read()))
+    options = root_build_options()
     errors = []
     named_options = set()
     for path in reference_docs():

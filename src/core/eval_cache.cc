@@ -1,9 +1,10 @@
 #include "core/eval_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "core/suite_version.h"
 #include "obs/metrics.h"
@@ -18,8 +19,6 @@ namespace {
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
-  obs::Counter& filter_negatives;
-  obs::Counter& filter_false_positives;
   obs::Counter& inserts;
   obs::Counter& spills;
   obs::Counter& restores;
@@ -30,8 +29,6 @@ struct CacheMetrics {
     static CacheMetrics* metrics = new CacheMetrics{
         registry.counter("cache.hits"),
         registry.counter("cache.misses"),
-        registry.counter("cache.filter_negatives"),
-        registry.counter("cache.filter_false_positives"),
         registry.counter("cache.inserts"),
         registry.counter("cache.spills"),
         registry.counter("cache.restores"),
@@ -40,54 +37,6 @@ struct CacheMetrics {
     return *metrics;
   }
 };
-
-/// Default filter bit budget per resident entry; DFS_EVAL_CACHE_FILTER_BITS
-/// overrides (documented in EXPERIMENTS.md). Read once per process.
-int DefaultFilterBitsPerEntry() {
-  static const int bits = [] {
-    if (const char* env = std::getenv("DFS_EVAL_CACHE_FILTER_BITS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) return std::min(parsed, 1024);
-    }
-    return 16;
-  }();
-  return bits;
-}
-
-/// First filter generation per shard: 64 words = 4096 bits, enough for the
-/// first ~256 entries at the default budget before the first doubling.
-constexpr size_t kInitialFilterWords = 64;
-
-/// Remix fs::MaskHash for filter probing. Shard selection consumes the
-/// hash's low bits (hash % num_shards), so within one shard they are
-/// nearly constant; the finalizer (Murmur3's) spreads the surviving
-/// entropy back across all 64 bits before word/bit selection.
-uint64_t FilterHash(uint64_t hash) {
-  uint64_t h = hash;
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-/// The blocked-Bloom probe pattern: one word, three bits inside it. The
-/// word index comes from the high bits, the bit positions from disjoint
-/// low-bit fields, so one cheap remix feeds the whole probe.
-struct FilterProbe {
-  size_t word;
-  uint64_t bits;
-};
-
-FilterProbe ProbeFor(uint64_t hash, size_t word_count) {
-  const uint64_t h = FilterHash(hash);
-  FilterProbe probe;
-  probe.word = static_cast<size_t>(h >> 40) & (word_count - 1);
-  probe.bits = (1ULL << (h & 63)) | (1ULL << ((h >> 6) & 63)) |
-               (1ULL << ((h >> 12) & 63));
-  return probe;
-}
 
 // ---------------------------------------------------------------------------
 // Binary spill encoding (docs/CACHE.md). Little-endian on every supported
@@ -238,6 +187,94 @@ bool ReadEntry(Reader* reader, fs::FeatureMask* mask,
   return true;
 }
 
+/// One decoded spill blob: the header's context fingerprint and every
+/// entry, in spill order.
+struct DecodedSpill {
+  uint64_t fingerprint = 0;
+  std::vector<std::pair<fs::FeatureMask, fs::EvalOutcome>> entries;
+};
+
+/// Decodes one spill blob (docs/CACHE.md) without touching any cache, so a
+/// caller can reject a bad blob before it merges anything. Checks, in
+/// order: magic, format version, suite version, context fingerprint
+/// (skipped when `expected_fingerprint` is empty), payload checksum, then
+/// every entry and the absence of trailing bytes.
+StatusOr<DecodedSpill> DecodeSpill(
+    const std::string& blob, std::optional<uint64_t> expected_fingerprint) {
+  Reader reader(blob);
+  char magic[8];
+  if (!reader.ReadBytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kCacheMagic, sizeof(magic)) != 0) {
+    return InvalidArgumentError("not an eval-cache spill (bad magic)");
+  }
+  uint32_t version, reserved;
+  uint64_t suite, fingerprint, entry_count, checksum;
+  if (!reader.ReadU32(&version) || !reader.ReadU32(&reserved) ||
+      !reader.ReadU64(&suite) || !reader.ReadU64(&fingerprint) ||
+      !reader.ReadU64(&entry_count) || !reader.ReadU64(&checksum)) {
+    return InvalidArgumentError("truncated eval-cache spill header");
+  }
+  if (version != kEvalCacheFormatVersion) {
+    return InvalidArgumentError(
+        "unsupported eval-cache format version " + std::to_string(version) +
+        " (this build reads version " +
+        std::to_string(kEvalCacheFormatVersion) + ")");
+  }
+  if (suite != kSuiteVersion) {
+    return FailedPreconditionError(
+        "stale eval-cache spill: suite version " + std::to_string(suite) +
+        " != current " + std::to_string(kSuiteVersion) +
+        " (evaluation semantics changed; delete the spill)");
+  }
+  if (expected_fingerprint.has_value() &&
+      fingerprint != *expected_fingerprint) {
+    return FailedPreconditionError(
+        "stale eval-cache spill: context fingerprint mismatch (spill " +
+        std::to_string(fingerprint) + ", cache " +
+        std::to_string(*expected_fingerprint) +
+        "); outcomes from a different dataset/model/constraint context "
+        "must not be merged");
+  }
+  const size_t payload_offset = reader.offset();
+  if (Fnv1a(blob.data() + payload_offset, blob.size() - payload_offset) !=
+      checksum) {
+    return InvalidArgumentError(
+        "corrupt eval-cache spill: payload checksum mismatch");
+  }
+  // The entry count lives in the header, OUTSIDE the checksum (which
+  // covers the payload only), so it must be sanity-checked before it sizes
+  // an allocation: every entry is at least kMinEntryBytes, so a count the
+  // remaining bytes cannot hold is corrupt no matter what the payload
+  // says.
+  constexpr uint64_t kMinEntryBytes = 69;  // u32 mask width + flags +
+                                           // 7 f64 + 2 u32, empty mask
+  if (entry_count > reader.remaining() / kMinEntryBytes) {
+    return InvalidArgumentError(
+        "corrupt eval-cache spill: header claims " +
+        std::to_string(entry_count) + " entries but only " +
+        std::to_string(reader.remaining()) + " payload bytes follow");
+  }
+  DecodedSpill decoded;
+  decoded.fingerprint = fingerprint;
+  decoded.entries.reserve(entry_count);
+  for (uint64_t i = 0; i < entry_count; ++i) {
+    fs::FeatureMask mask;
+    fs::EvalOutcome outcome;
+    if (!ReadEntry(&reader, &mask, &outcome)) {
+      return InvalidArgumentError(
+          "truncated eval-cache spill: entry " + std::to_string(i) + " of " +
+          std::to_string(entry_count) + " is cut short");
+    }
+    decoded.entries.emplace_back(std::move(mask), outcome);
+  }
+  if (reader.remaining() != 0) {
+    return InvalidArgumentError(
+        "corrupt eval-cache spill: " + std::to_string(reader.remaining()) +
+        " trailing bytes after the last entry");
+  }
+  return decoded;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -247,69 +284,15 @@ ShardedEvalCache::ShardedEvalCache(EvalCacheOptions options)
     : options_(options),
       shards_(std::max(1, options.num_shards)) {
   options_.num_shards = static_cast<int>(shards_.size());
-  if (options_.filter_bits_per_entry <= 0) {
-    options_.filter_bits_per_entry = DefaultFilterBitsPerEntry();
-  }
-  if (options_.enable_filter) {
-    for (Shard& shard : shards_) {
-      util::MutexLock lock(shard.mu);
-      FilterInstallLocked(shard, kInitialFilterWords);
-    }
-  }
-}
-
-bool ShardedEvalCache::FilterMightContain(const Shard& shard,
-                                          uint64_t hash) const {
-  const Filter* filter = shard.filter.load(std::memory_order_acquire);
-  if (filter == nullptr) return true;  // filtering disabled: always probe
-  const FilterProbe probe = ProbeFor(hash, filter->words.size());
-  const uint64_t word =
-      filter->words[probe.word].load(std::memory_order_relaxed);
-  return (word & probe.bits) == probe.bits;
-}
-
-ShardedEvalCache::Filter* ShardedEvalCache::FilterInstallLocked(
-    Shard& shard, size_t word_count) {
-  shard.filters.push_back(std::make_unique<Filter>(word_count));
-  Filter* fresh = shard.filters.back().get();
-  // Publish after the words are zero-initialized; readers acquire-load the
-  // pointer, so they never see a half-built array.
-  shard.filter.store(fresh, std::memory_order_release);
-  return fresh;
-}
-
-void ShardedEvalCache::FilterInsertLocked(Shard& shard, uint64_t hash) {
-  Filter* filter = shard.filter.load(std::memory_order_relaxed);
-  if (filter == nullptr) return;
-  // Grow when the resident set outruns the bit budget: double and rebuild
-  // from the map (the only exact membership source — old generations also
-  // hold bits for abandoned masks). The retired generation stays alive for
-  // concurrent readers; doubling keeps total retired memory below the live
-  // array's.
-  const size_t budget_bits =
-      shard.entries.size() * static_cast<size_t>(options_.filter_bits_per_entry);
-  if (budget_bits > filter->words.size() * 64) {
-    filter = FilterInstallLocked(shard, filter->words.size() * 2);
-    for (const auto& [mask, entry] : shard.entries) {
-      const FilterProbe probe =
-          ProbeFor(fs::MaskHash(mask), filter->words.size());
-      filter->words[probe.word].fetch_or(probe.bits,
-                                         std::memory_order_relaxed);
-    }
-  }
-  const FilterProbe probe = ProbeFor(hash, filter->words.size());
-  filter->words[probe.word].fetch_or(probe.bits, std::memory_order_relaxed);
 }
 
 ShardedEvalCache::Acquired ShardedEvalCache::Acquire(
     const fs::FeatureMask& mask, fs::EvalOutcome* outcome) {
-  const uint64_t hash = fs::MaskHash(mask);
-  Shard& shard = shards_[hash % shards_.size()];
+  Shard& shard = ShardFor(mask);
   util::MutexLock lock(shard.mu);
   auto it = shard.entries.find(mask);
   if (it == shard.entries.end()) {
     shard.entries.emplace(mask, std::make_shared<Entry>());
-    FilterInsertLocked(shard, hash);
     return Acquired::kOwner;
   }
   // Hold our own reference: Abandon() erases the map slot while we wait.
@@ -348,51 +331,31 @@ void ShardedEvalCache::Abandon(const fs::FeatureMask& mask) {
 
 bool ShardedEvalCache::Lookup(const fs::FeatureMask& mask,
                               fs::EvalOutcome* outcome) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  const uint64_t hash = fs::MaskHash(mask);
-  const Shard& shard = shards_[hash % shards_.size()];
-  if (!FilterMightContain(shard, hash)) {
-    filter_negatives_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.filter_negatives.Increment();
-    metrics.misses.Increment();
-    return false;
-  }
-  bool resident = false;
+  const Shard& shard = ShardFor(mask);
   bool hit = false;
   {
     util::MutexLock lock(shard.mu);
     auto it = shard.entries.find(mask);
-    if (it != shard.entries.end()) {
-      resident = true;
-      if (it->second->ready) {
-        *outcome = it->second->outcome;
-        hit = true;
-      }
-      // Pending entries read as a miss: Lookup never blocks.
+    // Pending entries read as a miss: Lookup never blocks.
+    if (it != shard.entries.end() && it->second->ready) {
+      *outcome = it->second->outcome;
+      hit = true;
     }
   }
+  CacheMetrics& metrics = CacheMetrics::Get();
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.hits.Increment();
-    return true;
+  } else {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    metrics.misses.Increment();
   }
-  if (!resident) {
-    // Filter said maybe, the map said no: the documented false-positive
-    // fallthrough (docs/CACHE.md) — also the steady state for abandoned
-    // masks, whose bits can never be cleared.
-    filter_false_positives_.fetch_add(1, std::memory_order_relaxed);
-    metrics.filter_false_positives.Increment();
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  metrics.misses.Increment();
-  return false;
+  return hit;
 }
 
 bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
                                        const fs::EvalOutcome& outcome) {
-  const uint64_t hash = fs::MaskHash(mask);
-  Shard& shard = shards_[hash % shards_.size()];
+  Shard& shard = ShardFor(mask);
   bool inserted = false;
   {
     util::MutexLock lock(shard.mu);
@@ -402,7 +365,6 @@ bool ShardedEvalCache::InsertPublished(const fs::FeatureMask& mask,
       entry->ready = true;
       entry->outcome = outcome;
       it->second = std::move(entry);
-      FilterInsertLocked(shard, hash);
       inserted = true;
     }
   }
@@ -417,9 +379,6 @@ void ShardedEvalCache::Clear() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
     shard.entries.clear();
-    if (options_.enable_filter) {
-      FilterInstallLocked(shard, kInitialFilterWords);
-    }
   }
 }
 
@@ -436,9 +395,6 @@ EvalCacheStats ShardedEvalCache::Stats() const {
   EvalCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.filter_negatives = filter_negatives_.load(std::memory_order_relaxed);
-  stats.filter_false_positives =
-      filter_false_positives_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.caches = 1;
   stats.shard_entries.reserve(shards_.size());
@@ -476,78 +432,12 @@ std::string ShardedEvalCache::Serialize() const {
 }
 
 Status ShardedEvalCache::RestoreState(const std::string& blob) {
-  Reader reader(blob);
-  char magic[8];
-  if (!reader.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kCacheMagic, sizeof(magic)) != 0) {
-    return InvalidArgumentError("not an eval-cache spill (bad magic)");
-  }
-  uint32_t version, reserved;
-  uint64_t suite, fingerprint, entry_count, checksum;
-  if (!reader.ReadU32(&version) || !reader.ReadU32(&reserved) ||
-      !reader.ReadU64(&suite) || !reader.ReadU64(&fingerprint) ||
-      !reader.ReadU64(&entry_count) || !reader.ReadU64(&checksum)) {
-    return InvalidArgumentError("truncated eval-cache spill header");
-  }
-  if (version != kEvalCacheFormatVersion) {
-    return InvalidArgumentError(
-        "unsupported eval-cache format version " + std::to_string(version) +
-        " (this build reads version " +
-        std::to_string(kEvalCacheFormatVersion) + ")");
-  }
-  if (suite != kSuiteVersion) {
-    return FailedPreconditionError(
-        "stale eval-cache spill: suite version " + std::to_string(suite) +
-        " != current " + std::to_string(kSuiteVersion) +
-        " (evaluation semantics changed; delete the spill)");
-  }
-  if (fingerprint != options_.fingerprint) {
-    return FailedPreconditionError(
-        "stale eval-cache spill: context fingerprint mismatch (spill " +
-        std::to_string(fingerprint) + ", cache " +
-        std::to_string(options_.fingerprint) +
-        "); outcomes from a different dataset/model/constraint context "
-        "must not be merged");
-  }
-  const size_t payload_offset = reader.offset();
-  if (Fnv1a(blob.data() + payload_offset, blob.size() - payload_offset) !=
-      checksum) {
-    return InvalidArgumentError(
-        "corrupt eval-cache spill: payload checksum mismatch");
-  }
   // Decode everything before merging anything, so a truncated payload
-  // cannot leave the cache half-restored. The entry count lives in the
-  // header, OUTSIDE the checksum (which covers the payload only), so it
-  // must be sanity-checked before it sizes an allocation: every entry is
-  // at least kMinEntryBytes, so a count the remaining bytes cannot hold
-  // is corrupt no matter what the payload says.
-  constexpr uint64_t kMinEntryBytes = 69;  // u32 mask width + flags +
-                                           // 7 f64 + 2 u32, empty mask
-  if (entry_count > reader.remaining() / kMinEntryBytes) {
-    return InvalidArgumentError(
-        "corrupt eval-cache spill: header claims " +
-        std::to_string(entry_count) + " entries but only " +
-        std::to_string(reader.remaining()) + " payload bytes follow");
-  }
-  std::vector<std::pair<fs::FeatureMask, fs::EvalOutcome>> decoded;
-  decoded.reserve(entry_count);
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    fs::FeatureMask mask;
-    fs::EvalOutcome outcome;
-    if (!ReadEntry(&reader, &mask, &outcome)) {
-      return InvalidArgumentError(
-          "truncated eval-cache spill: entry " + std::to_string(i) + " of " +
-          std::to_string(entry_count) + " is cut short");
-    }
-    decoded.emplace_back(std::move(mask), outcome);
-  }
-  if (reader.remaining() != 0) {
-    return InvalidArgumentError(
-        "corrupt eval-cache spill: " + std::to_string(reader.remaining()) +
-        " trailing bytes after the last entry");
-  }
+  // cannot leave the cache half-restored.
+  DFS_ASSIGN_OR_RETURN(const DecodedSpill spill,
+                       DecodeSpill(blob, options_.fingerprint));
   uint64_t restored = 0;
-  for (const auto& [mask, outcome] : decoded) {
+  for (const auto& [mask, outcome] : spill.entries) {
     if (InsertPublished(mask, outcome)) ++restored;
   }
   CacheMetrics& metrics = CacheMetrics::Get();
@@ -640,58 +530,39 @@ StatusOr<size_t> EvalCacheRegistry::RestoreFromString(
         std::to_string(cache_count) + " member blobs but only " +
         std::to_string(reader.remaining()) + " bytes follow in " + source);
   }
-  // Slice out every member blob before restoring any, so one stale or
-  // corrupt member rejects the whole file instead of leaving it
-  // half-merged.
-  std::vector<std::string> blobs;
-  blobs.reserve(cache_count);
+  // Decode every member before merging any, so one stale or corrupt
+  // member rejects the whole file instead of leaving it half-merged. Each
+  // member restores into the cache its own header names, so there is no
+  // fingerprint to check it against.
+  std::vector<DecodedSpill> members;
+  members.reserve(cache_count);
   for (uint32_t i = 0; i < cache_count; ++i) {
-    uint64_t length;
+    uint64_t length = 0;
     if (!reader.ReadU64(&length) || length > reader.remaining()) {
       return InvalidArgumentError("truncated registry container: " + source);
     }
-    blobs.emplace_back(container, reader.offset(),
-                       static_cast<size_t>(length));
+    DFS_ASSIGN_OR_RETURN(
+        DecodedSpill member,
+        DecodeSpill(container.substr(reader.offset(),
+                                     static_cast<size_t>(length)),
+                    std::nullopt));
+    members.push_back(std::move(member));
     reader.Skip(static_cast<size_t>(length));  // bounds-checked above
   }
   if (reader.remaining() != 0) {
     return InvalidArgumentError(
         "corrupt registry container: trailing bytes in " + source);
   }
-  // Validate all blobs against throwaway caches first (RestoreState
-  // itself is all-or-nothing per blob, but the registry promises it for
-  // the whole file).
-  for (const std::string& blob : blobs) {
-    Reader header(blob);
-    char member_magic[8];
-    uint32_t member_version = 0, reserved = 0;
-    uint64_t suite = 0, fingerprint = 0;
-    if (!header.ReadBytes(member_magic, sizeof(member_magic)) ||
-        !header.ReadU32(&member_version) || !header.ReadU32(&reserved) ||
-        !header.ReadU64(&suite) || !header.ReadU64(&fingerprint)) {
-      return InvalidArgumentError("truncated member spill in " + source);
-    }
-    EvalCacheOptions probe_options = defaults_;
-    probe_options.fingerprint = fingerprint;
-    ShardedEvalCache probe(probe_options);
-    DFS_RETURN_IF_ERROR(probe.RestoreState(blob));
-  }
   size_t restored = 0;
-  for (const std::string& blob : blobs) {
-    Reader header(blob);
-    char member_magic[8];
-    uint32_t member_version = 0, reserved = 0;
-    uint64_t suite = 0, fingerprint = 0;
-    header.ReadBytes(member_magic, sizeof(member_magic));
-    header.ReadU32(&member_version);
-    header.ReadU32(&reserved);
-    header.ReadU64(&suite);
-    header.ReadU64(&fingerprint);
-    auto cache = GetOrCreate(fingerprint);
-    const size_t before = cache->size();
-    DFS_RETURN_IF_ERROR(cache->RestoreState(blob));
-    restored += cache->size() - before;
+  for (const DecodedSpill& member : members) {
+    auto cache = GetOrCreate(member.fingerprint);
+    for (const auto& [mask, outcome] : member.entries) {
+      if (cache->InsertPublished(mask, outcome)) ++restored;
+    }
   }
+  CacheMetrics& metrics = CacheMetrics::Get();
+  metrics.restores.Increment();
+  metrics.restored_entries.Increment(restored);
   restores_.fetch_add(1, std::memory_order_relaxed);
   return restored;
 }
@@ -711,8 +582,6 @@ EvalCacheStats EvalCacheRegistry::Stats() const {
     const EvalCacheStats stats = cache->Stats();
     total.hits += stats.hits;
     total.misses += stats.misses;
-    total.filter_negatives += stats.filter_negatives;
-    total.filter_false_positives += stats.filter_false_positives;
     total.inserts += stats.inserts;
     total.entries += stats.entries;
     if (total.shard_entries.size() < stats.shard_entries.size()) {

@@ -28,17 +28,6 @@ inline constexpr uint32_t kEvalCacheFormatVersion = 1;
 struct EvalCacheOptions {
   /// Mutex stripes; lookups/inserts for different masks rarely contend.
   int num_shards = 16;
-  /// Front each shard with a lock-free blocked Bloom filter so Lookup
-  /// answers most negative probes from one relaxed atomic load, never
-  /// touching the shard mutex. Advisory only: a false positive falls
-  /// through to the locked map probe; false negatives cannot occur for a
-  /// resident mask (every insert sets the filter bits under the same lock
-  /// that publishes the map slot).
-  bool enable_filter = true;
-  /// Filter bits budgeted per resident entry before a shard's filter is
-  /// grown (doubled and rebuilt under the shard mutex). 0 = the
-  /// DFS_EVAL_CACHE_FILTER_BITS env knob (default 16).
-  int filter_bits_per_entry = 0;
   /// Fingerprint of the evaluation context whose outcomes this cache may
   /// hold (dataset + model + constraint set + seed + engine semantics —
   /// the serve layer computes it per job). Stamped into the spill header;
@@ -53,8 +42,6 @@ struct EvalCacheOptions {
 struct EvalCacheStats {
   uint64_t hits = 0;      ///< Lookup served a published entry
   uint64_t misses = 0;    ///< Lookup found nothing published
-  uint64_t filter_negatives = 0;  ///< misses answered without a lock
-  uint64_t filter_false_positives = 0;  ///< filter said maybe, map said no
   uint64_t inserts = 0;   ///< published entries added via InsertPublished
   uint64_t spills = 0;    ///< serialize/save operations (registry level)
   uint64_t restores = 0;  ///< restore/load operations (registry level)
@@ -65,8 +52,7 @@ struct EvalCacheStats {
 
 /// Concurrent memo table for wrapper evaluations, mutex-striped into N
 /// shards keyed by fs::MaskHash so parallel batch workers rarely contend on
-/// the same lock, with each shard fronted by a lock-free approximate-
-/// membership filter (see EvalCacheOptions::enable_filter).
+/// the same lock.
 ///
 /// The cache also deduplicates *in-flight* work: the first thread to ask
 /// for an unseen mask becomes its owner (Acquire returns kOwner) and must
@@ -112,9 +98,7 @@ class ShardedEvalCache {
   void Publish(const fs::FeatureMask& mask, const fs::EvalOutcome& outcome);
 
   /// Removes a pending entry (evaluation failed or was skipped); waiters
-  /// observe kAbandoned. The mask can be re-acquired afterwards. The
-  /// mask's filter bits stay set — deletions are impossible in a Bloom
-  /// filter — which only costs a future false positive (mutex probe).
+  /// observe kAbandoned. The mask can be re-acquired afterwards.
   void Abandon(const fs::FeatureMask& mask);
 
   /// RAII ownership of an in-flight entry: construct after Acquire returned
@@ -146,9 +130,8 @@ class ShardedEvalCache {
     const fs::FeatureMask* mask_;
   };
 
-  /// Non-blocking read-only probe for a *published* entry. When the
-  /// membership filter rules the mask out, this is a handful of relaxed
-  /// atomic loads — no mutex. A pending (in-flight) entry reads as a miss:
+  /// Non-blocking read-only probe for a *published* entry: one map probe
+  /// under the shard mutex. A pending (in-flight) entry reads as a miss:
   /// Lookup never waits, so a shared cache consulted from inside another
   /// cache's ownership window cannot deadlock.
   bool Lookup(const fs::FeatureMask& mask, fs::EvalOutcome* outcome);
@@ -161,9 +144,8 @@ class ShardedEvalCache {
   bool InsertPublished(const fs::FeatureMask& mask,
                        const fs::EvalOutcome& outcome);
 
-  /// Drops every entry and resets the filters. Must not race
-  /// Acquire/Publish (the engine clears only between runs, when no batch
-  /// is in flight).
+  /// Drops every entry. Must not race Acquire/Publish (the engine clears
+  /// only between runs, when no batch is in flight).
   void Clear();
 
   /// Number of entries, published or still in flight (linearizes per shard
@@ -203,27 +185,12 @@ class ShardedEvalCache {
     fs::EvalOutcome outcome;
   };
 
-  /// One generation of a shard's blocked Bloom filter: a power-of-two
-  /// array of 64-bit words. Readers probe with relaxed loads through the
-  /// shard's atomic pointer; writers (insert, grow, rebuild) run under the
-  /// shard mutex.
-  struct Filter {
-    explicit Filter(size_t word_count) : words(word_count) {}
-    std::vector<std::atomic<uint64_t>> words;
-  };
-
   struct Shard {
     mutable util::Mutex mu;
     util::CondVar resolved;
     std::unordered_map<fs::FeatureMask, std::shared_ptr<Entry>,
                        fs::MaskHasher>
         entries DFS_GUARDED_BY(mu);
-    /// Live filter generation, or null when filtering is disabled. Retired
-    /// generations stay alive in `filters` for the cache's lifetime so a
-    /// lock-free reader can never touch freed memory; doubling growth
-    /// bounds the retired total below the live array's size.
-    std::atomic<Filter*> filter{nullptr};
-    std::vector<std::unique_ptr<Filter>> filters DFS_GUARDED_BY(mu);
   };
 
   Shard& ShardFor(const fs::FeatureMask& mask) {
@@ -233,17 +200,6 @@ class ShardedEvalCache {
     return shards_[fs::MaskHash(mask) % shards_.size()];
   }
 
-  /// Lock-free membership probe; true means "maybe resident" (fall through
-  /// to the locked map probe), false means "definitely not resident".
-  bool FilterMightContain(const Shard& shard, uint64_t hash) const;
-  /// Sets the mask's filter bits, growing (doubling + rebuilding from the
-  /// shard map) first when the resident count outruns the bit budget.
-  void FilterInsertLocked(Shard& shard, uint64_t hash)
-      DFS_REQUIRES(shard.mu);
-  /// Installs a fresh filter generation sized for `word_count` words.
-  Filter* FilterInstallLocked(Shard& shard, size_t word_count)
-      DFS_REQUIRES(shard.mu);
-
   EvalCacheOptions options_;
   std::vector<Shard> shards_;
 
@@ -251,8 +207,6 @@ class ShardedEvalCache {
   // synchronization.
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> filter_negatives_{0};
-  mutable std::atomic<uint64_t> filter_false_positives_{0};
   mutable std::atomic<uint64_t> inserts_{0};
 };
 
@@ -278,7 +232,7 @@ class EvalCacheRegistry {
   /// entries (first writer wins). Returns the number of entries restored.
   /// NotFound when the file does not exist; any stale or corrupt member
   /// blob rejects the whole file (nothing before it is kept half-merged —
-  /// blobs are validated before any merge happens).
+  /// every member is decoded before any merge happens).
   StatusOr<size_t> LoadFromFile(const std::string& path);
 
   /// LoadFromFile's decode/validate/merge core over an in-memory

@@ -211,10 +211,6 @@ std::string HandleCache(DfsServer& server) {
   object["entries"] = JsonValue::Number(static_cast<double>(stats.entries));
   object["hits"] = JsonValue::Number(static_cast<double>(stats.hits));
   object["misses"] = JsonValue::Number(static_cast<double>(stats.misses));
-  object["filter_negatives"] =
-      JsonValue::Number(static_cast<double>(stats.filter_negatives));
-  object["filter_false_positives"] =
-      JsonValue::Number(static_cast<double>(stats.filter_false_positives));
   object["inserts"] = JsonValue::Number(static_cast<double>(stats.inserts));
   object["spills"] = JsonValue::Number(static_cast<double>(stats.spills));
   object["restores"] =
@@ -316,17 +312,6 @@ DispatchResult Dispatch(DfsServer& server, const std::string& line) {
     }
   }
   return {ErrorResponse(InternalError("unhandled op")), false};
-}
-
-bool ServeConnection(DfsServer& server, LineChannel& channel) {
-  while (true) {
-    auto line = channel.ReadLine();
-    if (!line.ok()) return false;  // peer closed or I/O error
-    if (Strip(*line).empty()) continue;
-    const DispatchResult result = Dispatch(server, *line);
-    if (!channel.WriteLine(result.response).ok()) return false;
-    if (result.shutdown_requested) return true;
-  }
 }
 
 }  // namespace dfs::serve

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "serve/server.h"
-#include "serve/tcp.h"
 
 namespace dfs::serve {
 
@@ -20,12 +19,6 @@ struct DispatchResult {
 /// Never throws and never returns an empty response: protocol errors come
 /// back as {"ok":false,"error":...} lines.
 DispatchResult Dispatch(DfsServer& server, const std::string& line);
-
-/// Serves one connected client: reads lines, dispatches each against
-/// `server`, writes responses. Returns true if the client requested daemon
-/// shutdown (after acknowledging it). Blocks until the peer disconnects or
-/// shutdown is requested; intended to run on a per-connection thread.
-bool ServeConnection(DfsServer& server, LineChannel& channel);
 
 }  // namespace dfs::serve
 

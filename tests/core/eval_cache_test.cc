@@ -1,8 +1,8 @@
-// Shared-eval-cache tests (ISSUE 7): spill/restore round-trip
-// byte-identity, rejection of corrupt/truncated/stale spills, the
-// membership filter's false-positive fallthrough contract, the OwnerGuard
-// dead-owner regression, registry persistence, engine L2 integration, and
-// a concurrent lookup/insert/spill churn test for the TSan fleet.
+// Shared-eval-cache tests: spill/restore round-trip byte-identity,
+// rejection of corrupt/truncated/stale spills, the non-blocking Lookup
+// contract, the OwnerGuard dead-owner regression, registry persistence
+// and its counter accounting, engine L2 integration, and a concurrent
+// lookup/insert/spill churn test for the TSan fleet.
 
 #include "core/eval_cache.h"
 
@@ -21,6 +21,7 @@
 #include "core/scenario.h"
 #include "core/suite_version.h"
 #include "fs/registry.h"
+#include "obs/metrics.h"
 #include "testing/test_util.h"
 
 namespace dfs::core {
@@ -255,15 +256,16 @@ TEST(EvalCacheSpillTest, SaveAndLoadFileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- Membership filter ------------------------------------------------
+// ---- Lookup -------------------------------------------------------------
 
-// A starved bit budget makes the filter dense, so absent-mask probes
-// frequently pass the filter: every one of them must still come back as a
-// correct miss through the locked map probe (false positives fall
-// through; the filter only decides *when* a lock is taken).
+// The cache has no membership filter: every Lookup is one locked map
+// probe. These two keep the answers a filter used to short-cut, so a
+// probe that once passed (or skipped) the filter still ends correctly.
+
+// Absent masks next to a populated cache always fall through to a miss —
+// no phantom hits — and every miss is counted.
 TEST(EvalCacheFilterTest, FalsePositivesFallThroughToMissing) {
-  ShardedEvalCache cache(
-      EvalCacheOptions{.enable_filter = true, .filter_bits_per_entry = 1});
+  ShardedEvalCache cache;
   constexpr uint32_t kResident = 512;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id, true), OutcomeFor(id)));
@@ -274,18 +276,28 @@ TEST(EvalCacheFilterTest, FalsePositivesFallThroughToMissing) {
     if (!cache.Lookup(MaskFor(id, /*resident=*/false), &got)) ++misses;
   }
   EXPECT_EQ(misses, kResident);  // no phantom hits, ever
-
   const EvalCacheStats stats = cache.Stats();
-  // Every miss was answered one way or the other; both paths are counted.
-  EXPECT_EQ(stats.filter_negatives + stats.filter_false_positives, kResident);
   EXPECT_EQ(stats.misses, kResident);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
-// No false negatives: every published mask must pass the filter and hit.
-TEST(EvalCacheFilterTest, PublishedMasksAlwaysHit) {
-  ShardedEvalCache cache(
-      EvalCacheOptions{.enable_filter = true, .filter_bits_per_entry = 4});
-  constexpr uint32_t kResident = 2048;  // forces filter growth + rebuild
+// With no filter in front of the map, an inserted mask hits and its
+// neighbour misses, each counted once.
+TEST(EvalCacheFilterTest, DisabledFilterStillAnswersCorrectly) {
+  ShardedEvalCache cache;
+  EXPECT_TRUE(cache.InsertPublished(MaskFor(7), OutcomeFor(7)));
+  fs::EvalOutcome got;
+  EXPECT_TRUE(cache.Lookup(MaskFor(7), &got));
+  EXPECT_EQ(got.objective, OutcomeFor(7).objective);
+  EXPECT_FALSE(cache.Lookup(MaskFor(8), &got));
+  const EvalCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(EvalCacheLookupTest, PublishedMasksAlwaysHit) {
+  ShardedEvalCache cache;
+  constexpr uint32_t kResident = 2048;
   for (uint32_t id = 0; id < kResident; ++id) {
     EXPECT_TRUE(cache.InsertPublished(MaskFor(id), OutcomeFor(id)));
   }
@@ -299,32 +311,9 @@ TEST(EvalCacheFilterTest, PublishedMasksAlwaysHit) {
   EXPECT_EQ(stats.inserts, kResident);
 }
 
-// With the filter on, a cold cache answers misses without ever reporting
-// a false positive against an empty shard map.
-TEST(EvalCacheFilterTest, ColdCacheMissesAreFilterNegatives) {
-  ShardedEvalCache cache;
-  fs::EvalOutcome got;
-  for (uint32_t id = 0; id < 64; ++id) {
-    EXPECT_FALSE(cache.Lookup(MaskFor(id), &got));
-  }
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.filter_negatives, 64u);
-  EXPECT_EQ(stats.filter_false_positives, 0u);
-}
-
-TEST(EvalCacheFilterTest, DisabledFilterStillAnswersCorrectly) {
-  ShardedEvalCache cache(EvalCacheOptions{.enable_filter = false});
-  EXPECT_TRUE(cache.InsertPublished(MaskFor(7), OutcomeFor(7)));
-  fs::EvalOutcome got;
-  EXPECT_TRUE(cache.Lookup(MaskFor(7), &got));
-  EXPECT_FALSE(cache.Lookup(MaskFor(8), &got));
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.filter_negatives, 0u);  // no filter to answer anything
-}
-
 // A pending (in-flight) entry reads as a miss through Lookup — the
 // non-blocking contract — and as a blocking hit through Acquire.
-TEST(EvalCacheFilterTest, PendingEntryReadsAsLookupMiss) {
+TEST(EvalCacheLookupTest, PendingEntryReadsAsLookupMiss) {
   ShardedEvalCache cache;
   fs::EvalOutcome scratch;
   ASSERT_EQ(cache.Acquire(MaskFor(1), &scratch),
@@ -430,6 +419,45 @@ TEST(EvalCacheRegistryTest, ContainerRoundTripAcrossCaches) {
   const EvalCacheStats stats = restored.Stats();
   EXPECT_EQ(stats.entries, 9u);
   EXPECT_EQ(stats.restores, 1u);
+  std::remove(path.c_str());
+}
+
+// A registry load counts each restored entry once in the process-wide
+// cache.* counters, and one load is one cache.restores tick — the same
+// totals the "cache" verb reports from the registry's own stats.
+TEST(EvalCacheRegistryTest, LoadCountsEachEntryOnceInGlobalCounters) {
+  const std::string path = ::testing::TempDir() + "/eval_caches_count.spill";
+  constexpr uint32_t kPerCache = 50;
+  {
+    EvalCacheRegistry registry;
+    for (uint32_t id = 0; id < kPerCache; ++id) {
+      EXPECT_TRUE(registry.GetOrCreate(1)->InsertPublished(MaskFor(id),
+                                                           OutcomeFor(id)));
+      EXPECT_TRUE(registry.GetOrCreate(2)->InsertPublished(
+          MaskFor(id + kPerCache), OutcomeFor(id + kPerCache)));
+    }
+    ASSERT_TRUE(registry.SaveToFile(path).ok());
+  }
+  auto& metrics = obs::MetricsRegistry::Global();
+  const uint64_t inserts = metrics.counter("cache.inserts").value();
+  const uint64_t restores = metrics.counter("cache.restores").value();
+  const uint64_t restored_entries =
+      metrics.counter("cache.restored_entries").value();
+
+  EvalCacheRegistry restored;
+  const auto count = restored.LoadFromFile(path);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 2 * kPerCache);
+  const EvalCacheStats stats = restored.Stats();
+  EXPECT_EQ(stats.inserts, 2 * kPerCache);
+  EXPECT_EQ(stats.restores, 1u);
+  EXPECT_EQ(metrics.counter("cache.inserts").value() - inserts,
+            2 * kPerCache);
+  EXPECT_EQ(metrics.counter("cache.restored_entries").value() -
+                restored_entries,
+            2 * kPerCache);
+  EXPECT_EQ(metrics.counter("cache.restores").value() - restores,
+            stats.restores);
   std::remove(path.c_str());
 }
 
@@ -663,13 +691,10 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
 // ---- Concurrent churn (TSan fleet) ------------------------------------
 
 // Lookups, inserts, acquire/publish/abandon, spills, restores and stats
-// reads all race on one cache. A starved filter budget forces concurrent
-// filter growth/rebuild under the readers. Run under TSan by
-// scripts/check.sh --sanitize.
+// reads all race on one cache. Run under TSan by scripts/check.sh
+// --sanitize.
 TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
-  ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4,
-                                          .enable_filter = true,
-                                          .filter_bits_per_entry = 8});
+  ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4});
   constexpr int kThreads = 8;
   constexpr uint32_t kMasks = 1024;
   std::atomic<bool> stop{false};

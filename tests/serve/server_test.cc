@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/event_loop.h"
 #include "serve/frontend.h"
 #include "serve/line_protocol.h"
 #include "serve/tcp.h"
@@ -366,18 +367,10 @@ TEST(DfsServerTest, ShutdownCancelsPendingWork) {
 
 TEST(ServeFrontendTest, TcpLineProtocolEndToEnd) {
   auto server = MakeServer(/*workers=*/2, /*capacity=*/8);
-  TcpListener listener;
-  ASSERT_TRUE(listener.Listen(/*port=*/0).ok());
-  std::thread acceptor([&server, &listener] {
-    while (true) {
-      auto client = listener.Accept();
-      if (!client.ok()) return;
-      LineChannel channel(*client);
-      if (ServeConnection(*server, channel)) return;
-    }
-  });
+  EventLoopFrontEnd frontend(*server);
+  ASSERT_TRUE(frontend.Start().ok());
 
-  auto fd = TcpConnect("127.0.0.1", listener.port());
+  auto fd = TcpConnect("127.0.0.1", frontend.port());
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   LineChannel client(*fd);
   const auto round_trip = [&client](const std::string& line) {
@@ -440,24 +433,15 @@ TEST(ServeFrontendTest, TcpLineProtocolEndToEnd) {
 
   JsonObject bye = round_trip(R"({"op":"shutdown"})");
   EXPECT_TRUE(GetBool(bye, "shutting_down").value_or(false));
-  acceptor.join();
-  listener.Close();
+  EXPECT_TRUE(frontend.Wait());  // the wire shutdown stopped the front-end
 }
 
 TEST(ServeFrontendTest, MetricsVerbRoundTripsOverTcp) {
   auto server = MakeServer(/*workers=*/2, /*capacity=*/8);
-  TcpListener listener;
-  ASSERT_TRUE(listener.Listen(/*port=*/0).ok());
-  std::thread acceptor([&server, &listener] {
-    while (true) {
-      auto client = listener.Accept();
-      if (!client.ok()) return;
-      LineChannel channel(*client);
-      if (ServeConnection(*server, channel)) return;
-    }
-  });
+  EventLoopFrontEnd frontend(*server);
+  ASSERT_TRUE(frontend.Start().ok());
 
-  auto fd = TcpConnect("127.0.0.1", listener.port());
+  auto fd = TcpConnect("127.0.0.1", frontend.port());
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   LineChannel client(*fd);
   const auto round_trip = [&client](const std::string& line) {
@@ -507,8 +491,7 @@ TEST(ServeFrontendTest, MetricsVerbRoundTripsOverTcp) {
 
   JsonObject bye = round_trip(R"({"op":"shutdown"})");
   EXPECT_TRUE(GetBool(bye, "shutting_down").value_or(false));
-  acceptor.join();
-  listener.Close();
+  EXPECT_TRUE(frontend.Wait());  // the wire shutdown stopped the front-end
 }
 
 }  // namespace

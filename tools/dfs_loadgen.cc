@@ -3,10 +3,9 @@
 //   dfs_loadgen --workload ping --mode open --connections 1024
 //               --rate 2000 --requests 20000 --json out.json
 //
-// Boots an in-process DfsServer behind either the epoll event-loop
-// front-end (--frontend epoll, the production path) or a
-// thread-per-connection baseline (--frontend threads), then drives it over
-// real TCP with a registered named workload. Two load modes:
+// Boots an in-process DfsServer behind the epoll event-loop front-end
+// (the one dfs_serverd runs), then drives it over real TCP with a
+// registered named workload. Two load modes:
 //
 //   * open   — requests fire on a fixed arrival schedule (--rate per
 //     second, spread round-robin over --connections keep-alive channels).
@@ -20,7 +19,7 @@
 //
 // Output: completed/shed/error counts, throughput, and p50/p95/p99/p999
 // latency. --json writes a google-benchmark-compatible report (rows named
-// LoadGen/<frontend>/<workload>/<mode>/c<N>/r<rate>/<stat>) so
+// LoadGen/epoll/<workload>/<mode>/c<N>/r<rate>/<stat>) so
 // scripts/bench_diff.py can gate front-end latency against the committed
 // BENCH snapshot. Shed responses count as completions (a fast queue_full
 // line IS the backpressure contract working); served vs shed counts are
@@ -33,22 +32,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "serve/event_loop.h"
-#include "serve/frontend.h"
 #include "serve/line_protocol.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
 #include "util/flags.h"
-#include "util/mutex.h"
 #include "util/statusor.h"
 #include "util/stopwatch.h"
-#include "util/thread_annotations.h"
 
 namespace dfs {
 namespace {
@@ -122,59 +117,8 @@ const Workload* FindWorkload(const std::string& name) {
   return nullptr;
 }
 
-/// Thread-per-connection baseline front-end (the architecture dfs_serverd
-/// had before the event loop) so one binary measures both and the
-/// regression criterion "p99 no worse than the baseline" is testable.
-class ThreadedFrontEnd {
- public:
-  explicit ThreadedFrontEnd(serve::DfsServer& server) : server_(server) {}
-
-  ~ThreadedFrontEnd() { Stop(); }
-
-  Status Start() {
-    DFS_RETURN_IF_ERROR(listener_.Listen(/*port=*/0,
-                                         /*loopback_only=*/true));
-    acceptor_ = std::thread([this] {
-      while (true) {
-        auto client = listener_.Accept();
-        if (!client.ok()) break;
-        auto channel = std::make_shared<serve::LineChannel>(*client);
-        util::MutexLock lock(mu_);
-        handlers_.emplace_back([this, channel] {
-          serve::ServeConnection(server_, *channel);
-        });
-      }
-    });
-    return OkStatus();
-  }
-
-  int port() const { return listener_.port(); }
-
-  /// Callers close their client channels first, so every handler sees EOF
-  /// and returns; this only has to unblock the acceptor and join.
-  void Stop() {
-    listener_.InterruptAccept();
-    if (acceptor_.joinable()) acceptor_.join();
-    std::vector<std::thread> handlers;
-    {
-      util::MutexLock lock(mu_);
-      handlers.swap(handlers_);
-    }
-    for (std::thread& handler : handlers) handler.join();
-    listener_.Close();
-  }
-
- private:
-  serve::DfsServer& server_;
-  serve::TcpListener listener_;
-  std::thread acceptor_;
-  util::Mutex mu_;
-  std::vector<std::thread> handlers_ DFS_GUARDED_BY(mu_);
-};
-
 struct LoadOptions {
-  std::string frontend = "epoll";  // epoll | threads
-  std::string mode = "open";       // open | closed
+  std::string mode = "open";  // open | closed
   std::string workload = "ping";
   int connections = 64;
   double rate = 1000.0;  // aggregate target arrival rate (open mode)
@@ -302,8 +246,10 @@ Status WriteJson(const LoadOptions& options, const Summary& summary,
                  const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return InternalError("cannot write " + path);
+  // The "epoll" segment names the front-end; it stays so committed rows
+  // keep matching in scripts/bench_diff.py.
   const std::string prefix =
-      "LoadGen/" + options.frontend + "/" + options.workload + "/" +
+      "LoadGen/epoll/" + options.workload + "/" +
       options.mode + "/c" + std::to_string(options.connections) + "/r" +
       std::to_string(options.mode == "open"
                          ? static_cast<int>(options.rate)
@@ -361,10 +307,6 @@ int RealMain(int argc, char** argv) {
   FlagParser parser(
       "dfs_loadgen — open/closed-loop load generator for the serve "
       "front-end (in-process server over real TCP)");
-  parser.AddString("frontend",
-                   "serve front-end under test: epoll (event loop) or "
-                   "threads (thread-per-connection baseline)",
-                   &options.frontend);
   parser.AddString("mode",
                    "open (fixed arrival schedule, latency from intended "
                    "arrival) or closed (back-to-back round trips)",
@@ -382,7 +324,7 @@ int RealMain(int argc, char** argv) {
   parser.AddInt("workers", "server worker threads", &options.workers);
   parser.AddInt("queue-capacity", "server job-queue capacity",
                 &options.queue_capacity);
-  parser.AddInt("io-threads", "event-loop I/O threads (epoll front-end)",
+  parser.AddInt("io-threads", "event-loop I/O threads",
                 &options.io_threads);
   parser.AddInt("shed-watermark",
                 "admission-control watermark passed to the event loop "
@@ -418,10 +360,6 @@ int RealMain(int argc, char** argv) {
                  options.workload.c_str());
     return 1;
   }
-  if (options.frontend != "epoll" && options.frontend != "threads") {
-    std::fprintf(stderr, "--frontend must be epoll or threads\n");
-    return 1;
-  }
   if (options.mode != "open" && options.mode != "closed") {
     std::fprintf(stderr, "--mode must be open or closed\n");
     return 1;
@@ -440,36 +378,23 @@ int RealMain(int argc, char** argv) {
   serve::DfsServer server(server_options);
   server.RegisterDataset(kDataset, TinyDataset());
 
-  int port = 0;
-  std::unique_ptr<serve::EventLoopFrontEnd> epoll_frontend;
-  std::unique_ptr<ThreadedFrontEnd> threaded_frontend;
-  if (options.frontend == "epoll") {
-    serve::EventLoopOptions frontend_options;
-    frontend_options.io_threads = options.io_threads;
-    frontend_options.max_connections =
-        static_cast<size_t>(std::max(1, options.max_connections));
-    frontend_options.shed_watermark =
-        static_cast<size_t>(std::max(0, options.shed_watermark));
-    epoll_frontend = std::make_unique<serve::EventLoopFrontEnd>(
-        server, frontend_options);
-    if (Status status = epoll_frontend->Start(); !status.ok()) {
-      std::fprintf(stderr, "frontend: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    port = epoll_frontend->port();
-  } else {
-    threaded_frontend = std::make_unique<ThreadedFrontEnd>(server);
-    if (Status status = threaded_frontend->Start(); !status.ok()) {
-      std::fprintf(stderr, "frontend: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    port = threaded_frontend->port();
+  serve::EventLoopOptions frontend_options;
+  frontend_options.io_threads = options.io_threads;
+  frontend_options.max_connections =
+      static_cast<size_t>(std::max(1, options.max_connections));
+  frontend_options.shed_watermark =
+      static_cast<size_t>(std::max(0, options.shed_watermark));
+  serve::EventLoopFrontEnd frontend(server, frontend_options);
+  if (Status status = frontend.Start(); !status.ok()) {
+    std::fprintf(stderr, "frontend: %s\n", status.ToString().c_str());
+    return 1;
   }
+  const int port = frontend.port();
 
   std::printf(
-      "dfs_loadgen: %s front-end on port %d · workload=%s mode=%s "
+      "dfs_loadgen: epoll front-end on port %d · workload=%s mode=%s "
       "connections=%d requests=%d%s\n",
-      options.frontend.c_str(), port, workload->name,
+      port, workload->name,
       options.mode.c_str(), options.connections, options.requests,
       options.mode == "open"
           ? (" rate=" + std::to_string(static_cast<int>(options.rate)))
@@ -507,11 +432,8 @@ int RealMain(int argc, char** argv) {
     const double wall = base.ElapsedSeconds();
     Summary summary = Summarize(results, wall);
 
-    if (epoll_frontend != nullptr) {
-      epoll_frontend->RequestStop();
-      epoll_frontend->Wait();
-    }
-    if (threaded_frontend != nullptr) threaded_frontend->Stop();
+    frontend.RequestStop();
+    frontend.Wait();
     server.Shutdown(/*cancel_pending=*/true);
 
     std::printf(

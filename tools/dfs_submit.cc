@@ -126,7 +126,7 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
                  &options.router);
   parser.AddBool("cache",
                  "fetch the shared eval-cache counters (hits, misses, "
-                 "filter negatives, spills/restores, shard occupancy)",
+                 "inserts, spills/restores, shard occupancy)",
                  &options.cache);
   parser.AddBool("ping", "health-check the service", &options.ping);
   parser.AddBool("shutdown", "ask the daemon to shut down",
