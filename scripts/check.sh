@@ -5,7 +5,8 @@
 #   scripts/check.sh --sanitize    # additionally run the concurrent tests
 #                                  # (serve_test, util_test, router_test,
 #                                  # engine_parallel_test, eval_cache_test,
-#                                  # engine_golden_test, kernels_test)
+#                                  # engine_golden_test, kernels_test,
+#                                  # experiment_test, dfs_test)
 #                                  # under TSan, and the zero-copy
 #                                  # evaluation tests (engine_golden_test,
 #                                  # linalg_test, kernels_test, ml_test)
@@ -50,6 +51,10 @@
 #                                  # skipped with a notice on GCC hosts
 #                                  # (the fuzz.corpus_replay ctest entry
 #                                  # still covers the corpus everywhere)
+#   scripts/check.sh --stress [N]  # N (default 10) repeats of the
+#                                  # thread-pool suites, engine_parallel_test
+#                                  # and experiment_test at DFS_THREADS=4,
+#                                  # in a plain build and under TSan
 #   scripts/check.sh --all         # tier-1 + --sanitize + --docs + --lint
 #                                  # + --analyze
 set -euo pipefail
@@ -127,6 +132,37 @@ run_fuzz_smoke() {
       -max_total_time=20 -print_final_stats=1 "$corpus/${target}"
   done
 }
+
+run_stress() {
+  # Repeats the shared-pool tests so real cores interleave their threads
+  # many times over: once in the tier-1 build, once under TSan.
+  local repeats="$1"
+  local targets=(util_test engine_parallel_test experiment_test)
+  cmake -B build -S .
+  cmake --build build -j --target "${targets[@]}"
+  cmake -B build-tsan -S . -DDFS_SANITIZE=thread
+  cmake --build build-tsan -j --target "${targets[@]}"
+  for tree in build build-tsan; do
+    DFS_THREADS=4 "./$tree/tests/util_test" \
+      --gtest_filter='ThreadPoolTest.*:TaskGroupTest.*:ParallelForTest.*' \
+      --gtest_repeat="$repeats" --gtest_brief=1
+    DFS_THREADS=4 "./$tree/tests/engine_parallel_test" \
+      --gtest_repeat="$repeats" --gtest_brief=1
+    DFS_THREADS=4 "./$tree/tests/experiment_test" \
+      --gtest_repeat="$repeats" --gtest_brief=1
+  done
+}
+
+if [[ "${1:-}" == "--stress" ]]; then
+  repeats="${2:-10}"
+  if ! [[ "$repeats" =~ ^[1-9][0-9]*$ ]]; then
+    echo "check.sh: --stress takes a positive repeat count" >&2
+    exit 2
+  fi
+  run_stress "$repeats"
+  echo "check.sh: OK"
+  exit 0
+fi
 
 if [[ "${1:-}" == "--docs" ]]; then
   python3 scripts/check_docs.py
@@ -238,7 +274,8 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   # the engine's scratch pool across threads.
   cmake -B build-tsan -S . -DDFS_SANITIZE=thread
   cmake --build build-tsan -j --target serve_test util_test router_test \
-    engine_parallel_test eval_cache_test engine_golden_test kernels_test
+    engine_parallel_test eval_cache_test engine_golden_test kernels_test \
+    experiment_test dfs_test
   ./build-tsan/tests/serve_test
   ./build-tsan/tests/util_test
   ./build-tsan/tests/router_test
@@ -246,6 +283,10 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   ./build-tsan/tests/eval_cache_test
   ./build-tsan/tests/engine_golden_test
   ./build-tsan/tests/kernels_test
+  # The study's scenario loop and SelectParallel's races share one pool
+  # with their engines' batches (nested task groups).
+  ./build-tsan/tests/experiment_test
+  ./build-tsan/tests/dfs_test
   # ASan+UBSan sweep of the zero-copy evaluation path: the span kernels,
   # unchecked Matrix accessors, in-place gathers and batched predicts must
   # be clean under memory and UB checking (DFS_DCHECK bounds checks

@@ -1,6 +1,5 @@
 #include "core/dfs.h"
 
-#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace dfs::core {
@@ -92,22 +91,24 @@ StatusOr<DfsResult> DeclarativeFeatureSelection::SelectParallel(
   }
   DFS_ASSIGN_OR_RETURN(MlScenario scenario, BuildScenario());
 
-  util::Mutex mu;
+  // One pool of `num_threads` runs the strategies and, borrowed by their
+  // engines, every EvaluateBatch: the budget is shared, never multiplied.
+  ThreadPool threads(num_threads);
   std::vector<std::pair<fs::StrategyId, RunResult>> runs(strategy_ids.size());
-  ParallelFor(
-      static_cast<int>(strategy_ids.size()), num_threads, [&](int i) {
-        EngineOptions options;
-        options.use_hpo = use_hpo_;
-        options.maximize_f1_utility = maximize_utility_;
-        options.record_trace = record_trace_;
-        options.seed = seed_ + i;
-        DfsEngine engine(scenario, options);
-        auto strategy =
-            fs::CreateStrategy(strategy_ids[i], seed_ * 31 + i + 1);
-        RunResult result = engine.Run(*strategy);
-        util::MutexLock lock(mu);
-        runs[i] = {strategy_ids[i], std::move(result)};
-      });
+  for (size_t i = 0; i < strategy_ids.size(); ++i) {
+    threads.Schedule([&, i] {
+      EngineOptions options;
+      options.use_hpo = use_hpo_;
+      options.maximize_f1_utility = maximize_utility_;
+      options.record_trace = record_trace_;
+      options.seed = seed_ + i;
+      options.pool = &threads;
+      DfsEngine engine(scenario, options);
+      auto strategy = fs::CreateStrategy(strategy_ids[i], seed_ * 31 + i + 1);
+      runs[i] = {strategy_ids[i], engine.Run(*strategy)};
+    });
+  }
+  threads.Wait();  // blocks without helping: the workers are the budget
 
   // Fastest success wins; otherwise the closest-by-validation-distance run.
   int best = -1;

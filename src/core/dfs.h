@@ -70,7 +70,8 @@ class DeclarativeFeatureSelection {
 
   /// Runs several strategies concurrently (each on its own engine) and
   /// returns the fastest successful result, or the closest-by-distance
-  /// result if none succeeds.
+  /// result if none succeeds. The races and their engines' batch sweeps
+  /// share one pool of `num_threads` workers.
   StatusOr<DfsResult> SelectParallel(
       const std::vector<fs::StrategyId>& strategy_ids, int num_threads);
 

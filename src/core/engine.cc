@@ -59,8 +59,9 @@ DfsEngine::DfsEngine(MlScenario scenario, const EngineOptions& options)
     : scenario_(std::move(scenario)),
       options_(options),
       rng_(options.seed),
-      batch_threads_(options.num_threads > 0 ? options.num_threads
-                                             : HardwareThreadBudget()) {}
+      batch_threads_(options.pool != nullptr ? options.pool->num_threads()
+                     : options.num_threads > 0 ? options.num_threads
+                                               : HardwareThreadBudget()) {}
 
 int DfsEngine::num_features() const {
   return scenario_.split.train.num_features();
@@ -409,14 +410,15 @@ std::vector<fs::EvalOutcome> DfsEngine::EvaluateBatch(
     return outcomes;
   }
 
-  EnsurePool();
+  ThreadPool& pool = BatchPool();
+  TaskGroup group;
   std::vector<BatchSlot> slots(masks.size());
   for (size_t i = 0; i < masks.size(); ++i) {
-    pool_->Schedule([this, &mask = masks[i], &slot = slots[i]] {
+    pool.Schedule(group, [this, &mask = masks[i], &slot = slots[i]] {
       EvaluateSlot(mask, slot);
     });
   }
-  pool_->Wait();
+  pool.Wait(group);
 
   // Reduce in submission order: the stateful bookkeeping (best-subset
   // tracking, success recording, cache-hit totals, trace) is applied
@@ -429,8 +431,12 @@ std::vector<fs::EvalOutcome> DfsEngine::EvaluateBatch(
   return outcomes;
 }
 
-void DfsEngine::EnsurePool() {
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(batch_threads_);
+ThreadPool& DfsEngine::BatchPool() {
+  if (options_.pool != nullptr) return *options_.pool;
+  if (own_pool_ == nullptr) {
+    own_pool_ = std::make_unique<ThreadPool>(batch_threads_ - 1);
+  }
+  return *own_pool_;
 }
 
 StatusOr<std::vector<double>> DfsEngine::FittedImportances(

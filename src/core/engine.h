@@ -41,8 +41,14 @@ struct EngineOptions {
   /// Threads for EvaluateBatch candidate sweeps. 0 = the process-wide
   /// budget (DFS_THREADS env, default hardware_concurrency); 1 = serial.
   /// Parallel runs select byte-identical masks to serial runs — see the
-  /// determinism contract in DESIGN.md.
+  /// determinism contract in DESIGN.md. Ignored when `pool` is set.
   int num_threads = 0;
+  /// Borrowed pool for EvaluateBatch (not owned; must outlive the engine).
+  /// Batches then run as a task group on it, as wide as the pool, instead
+  /// of on a pool of the engine's own. ExperimentPool::Run lends every
+  /// scenario's engine the pool its scenarios run on, so threads a
+  /// finished scenario frees help the ones still running (DESIGN.md §2d).
+  ThreadPool* pool = nullptr;
   /// External cancellation token. When set and flipped to true by another
   /// thread, the search stops at the next evaluation boundary: ShouldStop()
   /// turns true and Evaluate() refuses further work, so a running Run()
@@ -107,11 +113,13 @@ struct RunResult {
 /// strategies drive it through the fs::EvalContext interface.
 ///
 /// Concurrency model: one strategy drives the engine from one thread.
-/// EvaluateBatch fans the per-mask training/measurement out over an
-/// internal pool (EngineOptions::num_threads), but all result reduction —
-/// best-subset tracking, success recording, cache-hit accounting, trace —
-/// happens on the calling thread in submission order, so a parallel run
-/// selects byte-identical masks to a serial one (DESIGN.md has the full
+/// EvaluateBatch fans the per-mask training/measurement out as one task
+/// group, on the borrowed EngineOptions::pool or else on the engine's own
+/// pool (EngineOptions::num_threads wide), and the calling thread runs the
+/// group's tasks too while it waits. All result reduction — best-subset
+/// tracking, success recording, cache-hit accounting, trace — happens on
+/// the calling thread in submission order, so a parallel run selects
+/// byte-identical masks to a serial one (DESIGN.md has the full
 /// ordering/determinism contract).
 class DfsEngine : public fs::EvalContext {
  public:
@@ -251,9 +259,10 @@ class DfsEngine : public fs::EvalContext {
   void ReduceSlot(const fs::FeatureMask& mask, const BatchSlot& slot,
                   bool parallel);
 
-  /// Lazily creates the batch pool (first parallel batch of the engine's
-  /// lifetime).
-  void EnsurePool();
+  /// The pool parallel batches run on: the borrowed EngineOptions::pool,
+  /// else the engine's own, created on the first parallel batch of the
+  /// engine's lifetime.
+  ThreadPool& BatchPool();
 
   /// True once the external stop token (if any) has been flipped. Also
   /// stamps the first observation (see cancel_observed_).
@@ -262,9 +271,11 @@ class DfsEngine : public fs::EvalContext {
   MlScenario scenario_;
   EngineOptions options_;
   Rng rng_;
-  /// Resolved thread budget for EvaluateBatch (>= 1).
+  /// Resolved width of a parallel batch (>= 1; 1 = serial).
   int batch_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
+  /// The engine's own batch pool (unused when one is borrowed). It has
+  /// batch_threads_ - 1 workers: the waiting caller is the last thread.
+  std::unique_ptr<ThreadPool> own_pool_;
 
   /// Free list of evaluation scratches (leased via ScratchLease);
   /// survives across Runs so repeated searches stay warm.

@@ -115,18 +115,19 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
   }
 
   // Phase 2 (parallel): each scenario runs independently — it has its own
-  // derived seeds and its own engine — so the outer loop is a plain
-  // ParallelFor. The process thread budget is split between the outer loop
-  // and each engine's inner EvaluateBatch parallelism so the two layers do
-  // not multiply into oversubscription. Records land in a pre-sized vector
-  // indexed by scenario id, so results are positionally identical to the
-  // serial order no matter which scenario finishes first.
-  const int budget = HardwareThreadBudget();
-  const int outer = std::max(1, std::min(budget, config.num_scenarios));
+  // derived seeds and its own engine — as one task on a pool of the
+  // process thread budget. Every engine borrows that same pool for its
+  // EvaluateBatch sweeps, so the budget is shared, never multiplied: while
+  // scenarios are still queued, free threads start them, and once the
+  // queue drains they run the batches of the scenarios still going (the
+  // heavy tail). Records land in a pre-sized vector indexed by scenario
+  // id, so results are positionally identical to the serial order no
+  // matter which scenario finishes first.
+  ThreadPool threads(HardwareThreadBudget());
   pool.records_.resize(config.num_scenarios);
   std::vector<Status> statuses(config.num_scenarios, OkStatus());
 
-  ParallelFor(config.num_scenarios, outer, [&](int s) {
+  const auto run_scenario = [&](int s) {
     const SampledScenario& sampled = sampled_scenarios[s];
     const data::Dataset& dataset = *datasets[sampled.dataset_index];
 
@@ -152,7 +153,7 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
     engine_options.maximize_f1_utility = config.utility_mode;
     engine_options.robustness = config.robustness;
     engine_options.seed = config.seed * 104729 + s;
-    engine_options.num_threads = std::max(1, budget / outer);
+    engine_options.pool = &threads;
     DfsEngine engine(*scenario, engine_options);
 
     for (size_t i = 0; i < config.strategies.size(); ++i) {
@@ -186,7 +187,11 @@ StatusOr<ExperimentPool> ExperimentPool::Run(const ExperimentConfig& config,
                      << successes << "/" << record.outcomes.size();
     }
     pool.records_[s] = std::move(record);
-  });
+  };
+  for (int s = 0; s < config.num_scenarios; ++s) {
+    threads.Schedule([&run_scenario, s] { run_scenario(s); });
+  }
+  threads.Wait();  // blocks without helping: the workers are the budget
 
   for (const Status& status : statuses) {
     if (!status.ok()) return status;

@@ -25,54 +25,70 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Schedule(std::function<void()> task) {
+  Schedule(default_group_, std::move(task));
+}
+
+void ThreadPool::Schedule(TaskGroup& group, std::function<void()> task) {
   {
     util::MutexLock lock(mu_);
     DFS_CHECK(!shutdown_) << "ThreadPool::Schedule after shutdown";
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{&group, std::move(task)});
+    ++group.queued_;
+    ++group.pending_;
   }
   task_available_.NotifyOne();
 }
 
 void ThreadPool::Wait() {
   util::MutexLock lock(mu_);
-  while (!queue_.empty() || active_tasks_ != 0) all_done_.Wait(lock);
+  while (default_group_.pending_ != 0) default_group_.done_.Wait(lock);
+}
+
+void ThreadPool::Wait(TaskGroup& group) {
+  while (true) {
+    std::function<void()> fn;
+    {
+      util::MutexLock lock(mu_);
+      if (group.queued_ == 0) {
+        while (group.pending_ != 0) group.done_.Wait(lock);
+        return;
+      }
+      // The group's oldest queued task. The queue is short (a pass's
+      // scenarios plus the batches in flight), so a scan is cheap.
+      auto it = queue_.begin();
+      while (it->group != &group) ++it;
+      fn = std::move(it->fn);
+      queue_.erase(it);
+      --group.queued_;
+    }
+    fn();
+    fn = nullptr;  // drop the captures before the waiter can return
+    Finish(group);
+  }
+}
+
+void ThreadPool::Finish(TaskGroup& group) {
+  util::MutexLock lock(mu_);
+  // Notify under the lock: once the waiter sees zero it may destroy the
+  // group, so the group must not be touched after the lock is released.
+  if (--group.pending_ == 0) group.done_.NotifyAll();
 }
 
 void ThreadPool::WorkerLoop() {
   while (true) {
-    std::function<void()> task;
+    Task task;
     {
       util::MutexLock lock(mu_);
       while (!shutdown_ && queue_.empty()) task_available_.Wait(lock);
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // shut down and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_tasks_;
+      --task.group->queued_;
     }
-    task();
-    {
-      util::MutexLock lock(mu_);
-      --active_tasks_;
-      if (queue_.empty() && active_tasks_ == 0) all_done_.NotifyAll();
-    }
+    task.fn();
+    task.fn = nullptr;  // drop the captures before the waiter can return
+    Finish(*task.group);
   }
-}
-
-void ParallelFor(int count, int num_threads,
-                 const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  if (num_threads <= 1 || count == 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(std::min(num_threads, count));
-  for (int i = 0; i < count; ++i) {
-    pool.Schedule([&fn, i] { fn(i); });
-  }
-  pool.Wait();
 }
 
 int HardwareThreadBudget() {

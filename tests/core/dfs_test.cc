@@ -91,6 +91,32 @@ TEST(DfsFacadeTest, SelectParallelRejectsEmptyPortfolio) {
   EXPECT_FALSE(dfs.SelectParallel({}, 2).ok());
 }
 
+TEST(DfsFacadeTest, SelectParallelClosestWinnerIndependentOfThreads) {
+  // An unreachable F1 floor and a generous budget: every race searches to
+  // exhaustion, so the closest-by-validation winner is fixed work.
+  const auto select = [](int num_threads) {
+    DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(250, 4, 607));
+    dfs.SetConstraints(constraints::ConstraintSetBuilder()
+                           .MinF1(0.999)
+                           .MaxSearchSeconds(60.0)
+                           .Build()
+                           .value());
+    return dfs.SelectParallel(
+        {fs::StrategyId::kSfs, fs::StrategyId::kSbs, fs::StrategyId::kRfe},
+        num_threads);
+  };
+  const auto serial = select(1);
+  const auto parallel = select(4);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  EXPECT_FALSE(serial->success);
+  EXPECT_FALSE(parallel->success);
+  EXPECT_EQ(serial->strategy, parallel->strategy);
+  EXPECT_EQ(serial->features, parallel->features);
+  EXPECT_EQ(serial->feature_names, parallel->feature_names);
+  EXPECT_EQ(serial->validation_values.f1, parallel->validation_values.f1);
+}
+
 TEST(DfsFacadeTest, SelectModelAndFeaturesFindsAModel) {
   DeclarativeFeatureSelection dfs(testing::MakeLinearDataset(250, 2, 608));
   dfs.SetConstraints(EasySet());

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
+#include <string>
 
 namespace dfs::core {
 namespace {
@@ -137,6 +141,69 @@ TEST(ExperimentPoolTest, RunOrLoadUsesCache) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Fixed work: budgets no deadline reaches and deterministic searches, with
+// HPO and at least one safety constraint (the seeded attack), so a pass
+// does the same evaluations however its scenarios and batches interleave.
+ExperimentConfig FixedWorkConfig() {
+  ExperimentConfig config;
+  config.num_scenarios = 3;
+  config.use_hpo = true;
+  config.seed = 90221;
+  config.row_scale = 0.1;
+  config.time_scale = 1000.0;
+  config.strategies = {fs::StrategyId::kOriginalFeatureSet,
+                       fs::StrategyId::kSfs, fs::StrategyId::kSbs,
+                       fs::StrategyId::kRfe};
+  return config;
+}
+
+// Runs the pool with DFS_THREADS set to `threads`, then restores the
+// variable as it was.
+ExperimentPool RunWithThreadBudget(const ExperimentConfig& config,
+                                   const char* threads) {
+  const char* saved = std::getenv("DFS_THREADS");
+  const std::optional<std::string> previous =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  setenv("DFS_THREADS", threads, 1);
+  auto pool = ExperimentPool::Run(config, /*verbose=*/false);
+  if (previous.has_value()) {
+    setenv("DFS_THREADS", previous->c_str(), 1);
+  } else {
+    unsetenv("DFS_THREADS");
+  }
+  DFS_CHECK(pool.ok()) << pool.status().ToString();
+  return std::move(pool).value();
+}
+
+TEST(ExperimentPoolTest, FixedWorkIdenticalAcrossThreadBudgets) {
+  const ExperimentConfig config = FixedWorkConfig();
+  const ExperimentPool serial = RunWithThreadBudget(config, "1");
+  const ExperimentPool parallel = RunWithThreadBudget(config, "4");
+  const auto& a = serial.records();
+  const auto& b = parallel.records();
+  ASSERT_EQ(a.size(), b.size());
+  bool any_safety = false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    any_safety = any_safety || a[i].constraint_set.min_safety.has_value();
+    ASSERT_EQ(a[i].outcomes.size(), b[i].outcomes.size());
+    for (size_t j = 0; j < a[i].outcomes.size(); ++j) {
+      const StrategyOutcome& x = a[i].outcomes[j];
+      const StrategyOutcome& y = b[i].outcomes[j];
+      EXPECT_EQ(x.id, y.id);
+      EXPECT_FALSE(x.timed_out);
+      EXPECT_EQ(x.success, y.success);
+      EXPECT_EQ(x.evaluations, y.evaluations);
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.distance_validation),
+                std::bit_cast<uint64_t>(y.distance_validation));
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.distance_test),
+                std::bit_cast<uint64_t>(y.distance_test));
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.test_f1),
+                std::bit_cast<uint64_t>(y.test_f1));
+    }
+  }
+  EXPECT_TRUE(any_safety);
 }
 
 TEST(ExperimentConfigTest, HashSensitiveToEveryKnob) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -68,19 +69,37 @@ TEST(ThreadPoolTest, MinimumOneThread) {
 }
 
 TEST(ParallelForTest, CoversAllIndicesMultiThreaded) {
+  ThreadPool pool(4);
+  TaskGroup group;
   std::vector<std::atomic<int>> hits(50);
-  ParallelFor(50, 4, [&](int i) { hits[i].fetch_add(1); });
+  for (int i = 0; i < 50; ++i) {
+    pool.Schedule(group, [&hits, i] { hits[i].fetch_add(1); });
+  }
+  pool.Wait(group);
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ParallelForTest, SingleThreadRunsInOrder) {
+  ThreadPool pool(1);
+  TaskGroup group;
   std::vector<int> order;
-  ParallelFor(5, 1, [&](int i) { order.push_back(i); });
+  std::atomic<int> done{0};
+  for (int i = 0; i < 5; ++i) {
+    pool.Schedule(group, [&order, &done, i] {
+      order.push_back(i);
+      done.fetch_add(1);
+    });
+  }
+  // Let the worker run them all before Wait could help.
+  while (done.load() < 5) std::this_thread::yield();
+  pool.Wait(group);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelForTest, ZeroCountIsNoop) {
-  ParallelFor(0, 4, [](int) { FAIL() << "should not run"; });
+  ThreadPool pool(4);
+  TaskGroup group;
+  pool.Wait(group);  // must not hang
 }
 
 TEST(TablePrinterTest, AlignsColumns) {
