@@ -372,6 +372,40 @@ BENCHMARK(BM_MatVec)
     ->Args({12000, 1261})  // XL (Traffic XL width at bench row count)
     ->Unit(benchmark::kMicrosecond);
 
+// One logistic-regression gradient pass (an LR Fit runs up to 100) on a
+// COMPAS-sized split: 180 rows at a narrow (7) and a full (20) mask.
+// BM_LogisticGradient is the dispatched kernel Fit calls; the Reference
+// variant is the scalar per-row loop it must match bit for bit.
+using GradientKernel = void (*)(const double*, int, int, const double*,
+                                double, const int*, double*, double*);
+
+void RunLogisticGradient(benchmark::State& state, GradientKernel gradient) {
+  const int rows = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(state.range(1));
+  const auto x = BenchVector(static_cast<size_t>(rows) * cols, 7);
+  const auto w = BenchVector(cols, 8);
+  std::vector<double> g(cols);
+  std::vector<int> y(rows);
+  for (int r = 0; r < rows; ++r) y[r] = r % 3 == 0 ? 1 : 0;
+  for (auto _ : state) {
+    double bias_grad = 0.0;
+    gradient(x.data(), rows, cols, w.data(), 0.1, y.data(), g.data(),
+             &bias_grad);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(bias_grad);
+  }
+}
+
+void BM_LogisticGradient(benchmark::State& state) {
+  RunLogisticGradient(state, linalg::kernels::LogisticGradient);
+}
+BENCHMARK(BM_LogisticGradient)->Args({180, 7})->Args({180, 20});
+
+void BM_LogisticGradientReference(benchmark::State& state) {
+  RunLogisticGradient(state, linalg::kernels::reference::LogisticGradient);
+}
+BENCHMARK(BM_LogisticGradientReference)->Args({180, 7})->Args({180, 20});
+
 // The kNN / robustness-attack distance kernel at S/L/XL vector widths.
 void BM_SquaredDistanceSpan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -46,7 +46,7 @@
 #                                  # importable, the clang front-end runs
 #                                  # as a second leg (skipped with a
 #                                  # notice otherwise)
-#   scripts/check.sh --fuzz        # 60s libFuzzer smoke over the binary
+#   scripts/check.sh --fuzz        # 80s libFuzzer smoke over the byte-level
 #                                  # decoders (tests/fuzz/): Clang-only,
 #                                  # skipped with a notice on GCC hosts
 #                                  # (the fuzz.corpus_replay ctest entry
@@ -121,13 +121,13 @@ run_fuzz_smoke() {
   fi
   cmake -B build-fuzz -S . -DCMAKE_CXX_COMPILER=clang++ -DDFS_FUZZ=ON
   cmake --build build-fuzz -j --target \
-    fuzz_line_protocol fuzz_spill_decoder fuzz_arff
+    fuzz_line_protocol fuzz_spill_decoder fuzz_arff fuzz_model_decoder
   corpus="$(mktemp -d)"
   trap 'rm -rf "$corpus"' RETURN
   python3 tests/fuzz/make_corpus.py "$corpus"
-  # ~60s total: 20s per target, seeded from the committed generator so
+  # ~80s total: 20s per target, seeded from the committed generator so
   # the fuzzers start past the header checks.
-  for target in line_protocol spill_decoder arff; do
+  for target in line_protocol spill_decoder arff model_decoder; do
     "./build-fuzz/tests/fuzz/fuzz_${target}" \
       -max_total_time=20 -print_final_stats=1 "$corpus/${target}"
   done
@@ -295,7 +295,7 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   cmake -B build-asan -S . -DDFS_SANITIZE=address,undefined
   cmake --build build-asan -j --target engine_golden_test linalg_test \
     kernels_test ml_test file_test fuzz_line_protocol_replay \
-    fuzz_spill_decoder_replay fuzz_arff_replay
+    fuzz_spill_decoder_replay fuzz_arff_replay fuzz_model_decoder_replay
   ./build-asan/tests/engine_golden_test
   ./build-asan/tests/linalg_test
   ./build-asan/tests/kernels_test
@@ -306,7 +306,8 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   python3 tests/fuzz/corpus_replay_test.py \
     ./build-asan/tests/fuzz/fuzz_line_protocol_replay \
     ./build-asan/tests/fuzz/fuzz_spill_decoder_replay \
-    ./build-asan/tests/fuzz/fuzz_arff_replay
+    ./build-asan/tests/fuzz/fuzz_arff_replay \
+    ./build-asan/tests/fuzz/fuzz_model_decoder_replay
 fi
 
 if [[ "${1:-}" == "--all" ]]; then

@@ -258,6 +258,10 @@ StatusOr<DfsOptimizer> DfsOptimizer::Deserialize(const std::string& text) {
       if (!in) return InvalidArgumentError("truncated forest blob");
       DFS_ASSIGN_OR_RETURN(ml::RandomForest forest,
                            ml::RandomForest::Deserialize(blob));
+      // PredictProbabilities hands the forest a ScenarioFeatures row.
+      if (forest.MinInputWidth() > ScenarioFeatures::Names().size()) {
+        return InvalidArgumentError("forest feature index out of range");
+      }
       optimizer.models_[id] =
           std::make_unique<ml::RandomForest>(std::move(forest));
     } else if (kind == "constant") {

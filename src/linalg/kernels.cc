@@ -1,5 +1,7 @@
 #include "linalg/kernels.h"
 
+#include "util/math_util.h"
+
 // This TU (and kernels_avx2.cc) is compiled with -ffp-contract=off: a
 // fused a*b+c on one side of the runtime dispatch but not the other would
 // break the bitwise portable==SIMD contract documented in kernels.h.
@@ -106,6 +108,18 @@ void MatVec(const double* x, int rows, int cols, const double* w,
   }
 }
 
+void LogisticGradient(const double* x, int rows, int cols, const double* w,
+                      double bias, const int* y, double* g,
+                      double* bias_grad) {
+  const std::size_t k = static_cast<std::size_t>(cols);
+  for (int r = 0; r < rows; ++r) {
+    const double* row = x + static_cast<std::size_t>(r) * k;
+    const double error = Sigmoid(bias + Dot(w, row, k)) - y[r];
+    for (std::size_t c = 0; c < k; ++c) g[c] += error * row[c];
+    *bias_grad += error;
+  }
+}
+
 }  // namespace reference
 
 namespace {
@@ -136,11 +150,14 @@ double WeightedSquaredDiffPortable(const double* DFS_RESTRICT x,
 using DotFn = double (*)(const double*, const double*, std::size_t);
 using Wsd = double (*)(const double*, const double*, const double*,
                        std::size_t);
+using LogisticGradientFn = void (*)(const double*, int, int, const double*,
+                                    double, const int*, double*, double*);
 
 struct Dispatch {
   DotFn dot;
   DotFn squared_distance;
   Wsd weighted_squared_diff;
+  LogisticGradientFn logistic_gradient;
   const char* isa;
 };
 
@@ -153,6 +170,9 @@ double Dot(const double* a, const double* b, std::size_t n);
 double SquaredDistance(const double* a, const double* b, std::size_t n);
 double WeightedSquaredDiff(const double* x, const double* mean,
                            const double* inv2var, std::size_t n);
+void LogisticGradient(const double* x, int rows, int cols, const double* w,
+                      double bias, const int* y, double* g,
+                      double* bias_grad);
 }  // namespace avx2
 #endif
 
@@ -161,11 +181,14 @@ namespace {
 const Dispatch& Active() {
   static const Dispatch dispatch = [] {
     Dispatch d{DotPortable, SquaredDistancePortable,
-               WeightedSquaredDiffPortable, "portable"};
+               WeightedSquaredDiffPortable,
+               // The portable spelling is the per-row reference loop.
+               reference::LogisticGradient, "portable"};
 #if defined(DFS_SIMD_ENABLED)
     if (__builtin_cpu_supports("avx2")) {
       d = Dispatch{avx2::Dot, avx2::SquaredDistance,
-                   avx2::WeightedSquaredDiff, "avx2"};
+                   avx2::WeightedSquaredDiff, avx2::LogisticGradient,
+                   "avx2"};
     }
 #endif
     return d;
@@ -235,6 +258,12 @@ void MatVec(const double* x, int rows, int cols, const double* w,
   for (int r = 0; r < rows; ++r) {
     out[r] = bias + dot(x + static_cast<std::size_t>(r) * k, w, k);
   }
+}
+
+void LogisticGradient(const double* x, int rows, int cols, const double* w,
+                      double bias, const int* y, double* g,
+                      double* bias_grad) {
+  Active().logistic_gradient(x, rows, cols, w, bias, y, g, bias_grad);
 }
 
 void MatMatT(const double* a, int a_rows, const double* bt, int bt_rows,

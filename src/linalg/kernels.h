@@ -112,6 +112,19 @@ DFS_HOT void MatVec(const double* x, int rows, int cols, const double* w,
 DFS_HOT void MatMatT(const double* a, int a_rows, const double* bt, int bt_rows,
              int inner, double* out);
 
+// --- Fused training kernel (runtime-dispatched) ------------------------
+
+/// One logistic-regression gradient pass over a row-major rows x cols
+/// matrix. For each row r in order:
+///   e = Sigmoid(bias + Dot(w, row r)) - y[r]; g[c] += e * x(r, c) for
+///   every c; *bias_grad += e.
+/// Accumulates into g and *bias_grad; the caller zeroes them first. g must
+/// not alias x or w. The dot keeps the canonical order and the update is
+/// elementwise, so every spelling is bitwise equal to that per-row loop.
+DFS_HOT void LogisticGradient(const double* x, int rows, int cols,
+                              const double* w, double bias, const int* y,
+                              double* g, double* bias_grad);
+
 // --- Elementwise / strided (portable; order-preserving by nature) ----
 
 /// a[i] += s * b[i]. Elementwise, so any vectorization is bitwise-safe;
@@ -169,6 +182,9 @@ double WeightedSquaredDiff(const double* x, const double* mean,
                            const double* inv2var, std::size_t n);
 void MatVec(const double* x, int rows, int cols, const double* w,
             double bias, double* out);
+void LogisticGradient(const double* x, int rows, int cols, const double* w,
+                      double bias, const int* y, double* g,
+                      double* bias_grad);
 }  // namespace reference
 
 }  // namespace dfs::linalg::kernels

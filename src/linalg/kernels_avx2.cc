@@ -15,6 +15,7 @@
 #endif
 
 #include "linalg/kernels.h"
+#include "util/math_util.h"
 
 #if defined(DFS_SIMD_ENABLED) && defined(__AVX2__)
 
@@ -91,6 +92,56 @@ double WeightedSquaredDiff(const double* x, const double* mean,
     sum += (d * d) * inv2var[i];
   }
   return sum;
+}
+
+void LogisticGradient(const double* x, int rows, int cols, const double* w,
+                      double bias, const int* y, double* g,
+                      double* bias_grad) {
+  // Rows go in blocks: the block's dots are independent, so they overlap,
+  // and each g element is loaded and stored once per block. Every g
+  // element and the bias sum still take their adds in row order.
+  constexpr int kBlock = 8;
+  const std::size_t k = static_cast<std::size_t>(cols);
+  double bias_sum = *bias_grad;
+  double errors[kBlock];  // each row's margin, then its error
+  for (int first = 0; first < rows; first += kBlock) {
+    const int count = rows - first < kBlock ? rows - first : kBlock;
+    const double* block = x + static_cast<std::size_t>(first) * k;
+    for (int i = 0; i < count; ++i) {
+      const double* row = block + static_cast<std::size_t>(i) * k;
+      double dot;
+      if (k < 8) {
+        // Below 8 the canonical order is a plain sequential sum.
+        dot = 0.0;
+        for (std::size_t c = 0; c < k; ++c) dot += w[c] * row[c];
+      } else {
+        dot = Dot(w, row, k);
+      }
+      errors[i] = bias + dot;
+    }
+    for (int i = 0; i < count; ++i) {
+      errors[i] = Sigmoid(errors[i]) - y[first + i];
+    }
+    // g[c] += errors[i] * row_i[c] for i in order: one multiply and one
+    // add per term, the same two roundings as the scalar loop.
+    std::size_t c = 0;
+    for (; c + 4 <= k; c += 4) {
+      __m256d acc = _mm256_loadu_pd(g + c);
+      for (int i = 0; i < count; ++i) {
+        acc = _mm256_add_pd(
+            acc, _mm256_mul_pd(_mm256_set1_pd(errors[i]),
+                               _mm256_loadu_pd(block + i * k + c)));
+      }
+      _mm256_storeu_pd(g + c, acc);
+    }
+    for (; c < k; ++c) {
+      double acc = g[c];
+      for (int i = 0; i < count; ++i) acc += errors[i] * block[i * k + c];
+      g[c] = acc;
+    }
+    for (int i = 0; i < count; ++i) bias_sum += errors[i];
+  }
+  *bias_grad = bias_sum;
 }
 
 }  // namespace dfs::linalg::kernels::avx2

@@ -16,7 +16,33 @@ double GiniFromCounts(double positives, double total) {
   return 2.0 * p * (1.0 - p);
 }
 
+/// One entry of a feature's presorted list: a training row's value in that
+/// feature, its label and its index.
+struct SortedEntry {
+  double value;
+  int label;
+  int row;
+};
+
 }  // namespace
+
+/// Each node owns the same [begin, end) segment of every feature's list,
+/// and splitting it stable-partitions each segment, so both children's
+/// segments stay sorted.
+struct DecisionTree::PresortedLists {
+  int rows = 0;
+  int features = 0;
+  /// Feature-major: feature f's list is [f * rows, (f + 1) * rows).
+  std::vector<SortedEntry> entries;
+  /// Per row: whether the node being split sends it left.
+  std::vector<char> goes_left;
+  /// Holds a segment's right-going entries during a partition.
+  std::vector<SortedEntry> right;
+
+  SortedEntry* Segment(int feature, int begin) {
+    return entries.data() + static_cast<size_t>(feature) * rows + begin;
+  }
+};
 
 Status DecisionTree::Fit(const linalg::Matrix& x, const std::vector<int>& y) {
   const int n = x.rows();
@@ -30,10 +56,25 @@ Status DecisionTree::Fit(const linalg::Matrix& x, const std::vector<int>& y) {
   nodes_.clear();
   split_gains_.clear();
   importances_.assign(x.cols(), 0.0);
-  std::vector<int> rows(n);
-  for (int r = 0; r < n; ++r) rows[r] = r;
-  std::vector<SweepEntry> sweep;
-  BuildNode(x, y, rows, 0, sweep);
+
+  // Sort every feature's (value, label, row) entries once. The entries
+  // themselves are sorted, not row indices through a strided comparator.
+  PresortedLists lists;
+  lists.rows = n;
+  lists.features = x.cols();
+  lists.entries.resize(static_cast<size_t>(n) * x.cols());
+  for (int feature = 0; feature < x.cols(); ++feature) {
+    SortedEntry* list = lists.Segment(feature, 0);
+    for (int r = 0; r < n; ++r) list[r] = {x.At(r, feature), y[r], r};
+    std::sort(list, list + n, [](const SortedEntry& a, const SortedEntry& b) {
+      return a.value < b.value;
+    });
+  }
+  lists.goes_left.resize(n);
+  lists.right.resize(n);
+  int positives = 0;
+  for (int label : y) positives += label;
+  BuildNode(lists, 0, n, positives, 0);
   NormalizeImportances();
   fitted_ = true;
   return OkStatus();
@@ -47,45 +88,41 @@ void DecisionTree::NormalizeImportances() {
   }
 }
 
-int DecisionTree::BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
-                            std::vector<int>& rows, int depth,
-                            std::vector<SweepEntry>& sweep) {
+int DecisionTree::BuildNode(PresortedLists& lists, int begin, int end,
+                            int label_sum, int depth) {
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   split_gains_.push_back(0.0);
 
-  double positives = 0.0;
-  for (int r : rows) positives += y[r];
-  const double total = static_cast<double>(rows.size());
+  // Label sums are exact integers, so carrying them down from the parent's
+  // sweep gives the bits a per-node sum over the rows would.
+  const double positives = static_cast<double>(label_sum);
+  const double total = static_cast<double>(end - begin);
   nodes_[node_index].positive_probability =
       total > 0 ? positives / total : 0.5;
 
   const double node_gini = GiniFromCounts(positives, total);
-  const bool can_split =
-      depth < params_.dt_max_depth &&
-      static_cast<int>(rows.size()) >= params_.dt_min_samples_split &&
-      node_gini > 0.0;
+  const bool can_split = depth < params_.dt_max_depth &&
+                         end - begin >= params_.dt_min_samples_split &&
+                         node_gini > 0.0;
   if (!can_split) return node_index;
 
   // Find the best (feature, threshold) over quantile candidates. Each
-  // feature's (value, label) pairs are sorted once. The candidate
+  // feature's segment is already sorted by value. The candidate
   // thresholds never decrease, so one sweep yields every candidate's left
-  // row and positive counts. They are exact integers, so the split chosen
+  // row and positive counts. A threshold never separates equal values, so
+  // the counts cover whole tie groups and the order of entries within a
+  // tie cannot change them. They are exact integers, so the split chosen
   // is the one a separate scan per candidate would choose.
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-12;
-  const size_t n = rows.size();
-  sweep.resize(n);
-  for (int feature = 0; feature < x.cols(); ++feature) {
-    for (size_t i = 0; i < n; ++i) {
-      sweep[i] = {x.At(rows[i], feature), y[rows[i]]};
-    }
-    std::sort(sweep.begin(), sweep.end(),
-              [](const SweepEntry& a, const SweepEntry& b) {
-                return a.value < b.value;
-              });
-    if (sweep.front().value == sweep.back().value) continue;
+  size_t best_left_count = 0;
+  int best_left_positives = 0;
+  const size_t n = static_cast<size_t>(end - begin);
+  for (int feature = 0; feature < lists.features; ++feature) {
+    const SortedEntry* sweep = lists.Segment(feature, begin);
+    if (sweep[0].value == sweep[n - 1].value) continue;
 
     // Candidate thresholds: midpoints at (up to) kMaxThresholdCandidates
     // quantile positions, repeats skipped.
@@ -117,23 +154,44 @@ int DecisionTree::BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
         best_gain = gain;
         best_feature = feature;
         best_threshold = threshold;
+        best_left_count = left_count;
+        best_left_positives = left_label_sum;
       }
     }
   }
   if (best_feature < 0) return node_index;
 
-  std::vector<int> left_rows, right_rows;
-  for (int r : rows) {
-    (x.At(r, best_feature) <= best_threshold ? left_rows : right_rows)
-        .push_back(r);
+  // The chosen feature's segment is sorted, so its first best_left_count
+  // entries are exactly the rows with value <= best_threshold. Flag them,
+  // then stable-partition every other feature's segment by the flag.
+  const SortedEntry* chosen = lists.Segment(best_feature, begin);
+  for (size_t i = 0; i < n; ++i) {
+    lists.goes_left[chosen[i].row] = i < best_left_count;
   }
-  rows.clear();
-  rows.shrink_to_fit();
+  for (int feature = 0; feature < lists.features; ++feature) {
+    if (feature == best_feature) continue;
+    SortedEntry* segment = lists.Segment(feature, begin);
+    SortedEntry* right = lists.right.data();
+    size_t left_end = 0;
+    size_t right_end = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const SortedEntry entry = segment[i];
+      if (lists.goes_left[entry.row]) {
+        segment[left_end++] = entry;
+      } else {
+        right[right_end++] = entry;
+      }
+    }
+    std::copy(right, right + right_end, segment + left_end);
+  }
 
   split_gains_[node_index] = best_gain * total;
   importances_[best_feature] += split_gains_[node_index];
-  const int left = BuildNode(x, y, left_rows, depth + 1, sweep);
-  const int right = BuildNode(x, y, right_rows, depth + 1, sweep);
+  const int middle = begin + static_cast<int>(best_left_count);
+  const int left =
+      BuildNode(lists, begin, middle, best_left_positives, depth + 1);
+  const int right = BuildNode(lists, middle, end,
+                              label_sum - best_left_positives, depth + 1);
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;
   nodes_[node_index].left = left;
@@ -261,6 +319,13 @@ StatusOr<DecisionTree> DecisionTree::Deserialize(const std::string& text) {
   for (double& imp : tree.importances_) {
     in >> imp;
     if (!in) return InvalidArgumentError("corrupt importances");
+  }
+  // The importances count is the tree's width: PredictProba reads
+  // row[feature] unchecked in release builds, so no node may index past it.
+  for (const Node& node : tree.nodes_) {
+    if (node.feature >= static_cast<int>(num_importances)) {
+      return InvalidArgumentError("tree feature index out of range");
+    }
   }
   tree.fitted_ = true;
   return tree;

@@ -64,16 +64,14 @@ class DecisionTree : public Classifier {
     double positive_probability = 0.5;
   };
 
-  /// One row of a node's split search: a feature value and its label.
-  struct SweepEntry {
-    double value;
-    int label;
-  };
+  /// Split-search state of one Fit: every feature's training values,
+  /// sorted once (DESIGN.md §2i). Defined in decision_tree.cc.
+  struct PresortedLists;
 
-  /// `sweep` is split-search scratch shared by the whole recursion.
-  int BuildNode(const linalg::Matrix& x, const std::vector<int>& y,
-                std::vector<int>& rows, int depth,
-                std::vector<SweepEntry>& sweep);
+  /// Builds the subtree over segment [begin, end) of `lists`, whose rows
+  /// hold `label_sum` positive labels.
+  int BuildNode(PresortedLists& lists, int begin, int end, int label_sum,
+                int depth);
   /// Appends `source`'s subtree at `source_index` (which sits at `depth`)
   /// in pre-order, cut off at params_.dt_max_depth.
   int CopyTruncated(const DecisionTree& source, int source_index, int depth);

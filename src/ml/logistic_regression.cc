@@ -24,24 +24,15 @@ Status LogisticRegression::Fit(const linalg::Matrix& x,
 
   // Gradient descent with a decaying step; features in [0,1] keep the
   // logistic loss Lipschitz constant small, so a fixed base step works.
-  // Inner loops run on raw row pointers: one bounds check per row
-  // (RowPtr), none per element, and no aliasing between the row and the
-  // weight/gradient arrays the compiler has to re-load around.
+  // Each iteration's row loop is one fused kernel call (DESIGN.md §2i).
   double step = 2.0;
   std::vector<double> gradient(d, 0.0);
-  const double* w = weights_.data();
-  double* g = gradient.data();
   for (int iteration = 0; iteration < params_.lr_max_iterations; ++iteration) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double intercept_gradient = 0.0;
-    for (int r = 0; r < n; ++r) {
-      const double* xr = x.RowPtr(r);
-      const double margin =
-          intercept_ + linalg::kernels::Dot(w, xr, static_cast<size_t>(d));
-      double error = Sigmoid(margin) - y[r];
-      linalg::kernels::AxpyInPlace(g, error, xr, static_cast<size_t>(d));
-      intercept_gradient += error;
-    }
+    linalg::kernels::LogisticGradient(x.Data(), n, d, weights_.data(),
+                                      intercept_, y.data(), gradient.data(),
+                                      &intercept_gradient);
     double gradient_norm_sq = intercept_gradient * intercept_gradient;
     for (int c = 0; c < d; ++c) {
       gradient[c] = gradient[c] / n_double + lambda * weights_[c];

@@ -136,11 +136,26 @@ StatusOr<RandomForest> RandomForest::Deserialize(const std::string& text) {
     in.read(blob.data(), static_cast<std::streamsize>(tree_bytes));
     if (!in) return InvalidArgumentError("truncated tree blob");
     DFS_ASSIGN_OR_RETURN(DecisionTree tree, DecisionTree::Deserialize(blob));
+    // The member tree reads its gathered sub-row, whose width is the
+    // member's feature count.
+    if (tree.FeatureImportances()->size() != num_features) {
+      return InvalidArgumentError("member tree width mismatch");
+    }
     member.tree = std::make_unique<DecisionTree>(std::move(tree));
     forest.members_.push_back(std::move(member));
   }
   forest.fitted_ = true;
   return forest;
+}
+
+size_t RandomForest::MinInputWidth() const {
+  size_t width = 0;
+  for (const Member& member : members_) {
+    for (int feature : member.features) {
+      width = std::max(width, static_cast<size_t>(feature) + 1);
+    }
+  }
+  return width;
 }
 
 double RandomForest::PredictProba(std::span<const double> row) const {

@@ -53,6 +53,10 @@ class RandomForest : public Classifier {
   std::string Serialize() const;
   static StatusOr<RandomForest> Deserialize(const std::string& text);
 
+  /// The narrowest row PredictProba accepts: one past the highest feature
+  /// index any member reads (0 for a forest without members).
+  size_t MinInputWidth() const;
+
  private:
   RandomForestOptions options_;
   struct Member {

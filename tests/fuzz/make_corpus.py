@@ -2,7 +2,7 @@
 """Seed-corpus generator for the tests/fuzz/ harnesses.
 
 Writes one subdirectory per fuzz target (line_protocol/, spill_decoder/,
-arff/) under the output directory. The binary spill seeds are built to
+arff/, model_decoder/) under the output directory. The binary spill seeds are built to
 the byte layout in docs/CACHE.md, with the format and suite versions
 parsed out of the headers so the corpus cannot silently go stale; valid
 seeds let the fuzzers (and the corpus-replay ctest) reach past header
@@ -73,6 +73,31 @@ def registry_container(blobs, count=None, magic=b"DFSCREG1"):
     for blob in blobs:
         out += struct.pack("<Q", len(blob)) + blob
     return out
+
+
+# A depth-1 tree over `width` features that splits on `feature`.
+def tree_text(feature=0, width=1):
+    importances = " ".join("1" if f == feature else "0"
+                           for f in range(width))
+    return (f"tree v1\n2 2\n3\n{feature} 0.5 1 2 0.5\n"
+            "-1 0 -1 -1 0.2\n-1 0 -1 -1 0.8\n"
+            f"{width} {importances}\n")
+
+
+# A forest whose members gather `features` (one list per member) into
+# the trees in `trees`.
+def forest_text(members):
+    out = f"forest v1\n{len(members)} 2 0 1 7\n0.5 {len(members)}\n"
+    for features, tree in members:
+        out += f"{len(features)} " + " ".join(map(str, features)) + "\n"
+        out += f"{len(tree)}\n{tree}"
+    return out
+
+
+def optimizer_text(forest):
+    return ("dfs-optimizer v1\n100 3 0.25 99\n2\n"
+            f"SFS(NR)\nmodel 0.5 {len(forest)}\n{forest}"
+            "SBS(NR)\nconstant 1 1\n")
 
 
 def write(directory, name, data):
@@ -155,6 +180,21 @@ def main():
         "",
     ]))
     write(d, "weird_bytes", b"@RELATION \xff\xfe\n@DATA\n\x00\x01\x02\n")
+    d = os.path.join(out, "model_decoder")
+    os.makedirs(d, exist_ok=True)
+    forest = forest_text([([3], tree_text()), ([0, 2], tree_text(1, 2))])
+    write(d, "valid_tree", tree_text(1, 3))
+    write(d, "valid_forest", forest)
+    write(d, "valid_optimizer", optimizer_text(forest))
+    write(d, "tree_feature_past_width",
+          "tree v1\n5 2\n3\n1000000 0.5 1 2 0.5\n-1 0 -1 -1 0.2\n"
+          "-1 0 -1 -1 0.8\n1 1\n")
+    write(d, "tree_feature_at_width", tree_text(1, 1))
+    write(d, "forest_width_mismatch",
+          forest_text([([0, 2, 5], tree_text(1, 2))]))
+    write(d, "optimizer_feature_past_names",
+          optimizer_text(forest_text([([1000000], tree_text())])))
+    write(d, "truncated_optimizer", optimizer_text(forest)[:-40])
     print(f"make_corpus: wrote seeds under {out}")
 
 

@@ -93,6 +93,40 @@ TEST(KernelsTest, MatVecMatchesReferenceAndPerRowDot) {
   }
 }
 
+// The fused LR gradient pass against reference::LogisticGradient, the
+// per-row Dot / Sigmoid / axpy loop LogisticRegression::Fit ran before.
+// g and the bias gradient start nonzero: the kernel accumulates into them.
+TEST(KernelsTest, LogisticGradientMatchesReferenceBitwise) {
+  Rng rng(19);
+  for (int cols : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33}) {
+    for (int rows : {0, 1, 37}) {
+      SCOPED_TRACE("cols=" + std::to_string(cols) +
+                   " rows=" + std::to_string(rows));
+      const auto x =
+          RandomVector(static_cast<std::size_t>(rows) * cols, &rng, 0.0, 1.0);
+      const auto w = RandomVector(cols, &rng);
+      std::vector<int> y(rows);
+      for (int& label : y) label = rng.Bernoulli(0.4) ? 1 : 0;
+      const double bias = rng.Uniform(-1.0, 1.0);
+      const auto g_start = RandomVector(cols, &rng);
+      const double bias_grad_start = rng.Uniform(-3.0, 3.0);
+
+      std::vector<double> got = g_start, ref = g_start;
+      double got_bias = bias_grad_start, ref_bias = bias_grad_start;
+      LogisticGradient(x.data(), rows, cols, w.data(), bias, y.data(),
+                       got.data(), &got_bias);
+      reference::LogisticGradient(x.data(), rows, cols, w.data(), bias,
+                                  y.data(), ref.data(), &ref_bias);
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(), cols * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&got_bias, &ref_bias, sizeof(double)), 0);
+      if (rows > 0) {
+        EXPECT_NE(got, g_start);
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, MatMatTMatchesPerCellDot) {
   Rng rng(18);
   const int a_rows = 4, bt_rows = 6, inner = 21;

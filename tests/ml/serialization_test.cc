@@ -48,6 +48,24 @@ TEST(DecisionTreeSerializationTest, RejectsCorruptInput) {
                                          "0 0.5 0 2 0.5\n"
                                          "-1 0 -1 -1 0.5\n0\n")
                    .ok());
+  // A split on a feature at or past the tree's width (its importances
+  // count): PredictProba would read past the end of the row.
+  EXPECT_FALSE(DecisionTree::Deserialize("tree v1\n5 2\n3\n"
+                                         "1000000 0.5 1 2 0.5\n"
+                                         "-1 0 -1 -1 0.2\n"
+                                         "-1 0 -1 -1 0.8\n1 1\n")
+                   .ok());
+  EXPECT_FALSE(DecisionTree::Deserialize("tree v1\n5 2\n3\n"
+                                         "2 0.5 1 2 0.5\n"
+                                         "-1 0 -1 -1 0.2\n"
+                                         "-1 0 -1 -1 0.8\n2 1 0\n")
+                   .ok());
+  // The same tree with feature 1 inside its width decodes.
+  EXPECT_TRUE(DecisionTree::Deserialize("tree v1\n5 2\n3\n"
+                                        "1 0.5 1 2 0.5\n"
+                                        "-1 0 -1 -1 0.2\n"
+                                        "-1 0 -1 -1 0.8\n2 0 1\n")
+                  .ok());
 }
 
 TEST(RandomForestSerializationTest, PredictionsSurviveRoundTrip) {
@@ -64,9 +82,34 @@ TEST(RandomForestSerializationTest, PredictionsSurviveRoundTrip) {
   }
 }
 
+// A one-member forest whose member reads `features` through a tree blob.
+std::string OneMemberForest(const std::string& features,
+                            const std::string& tree) {
+  return "forest v1\n1 2 0 1 7\n0.5 1\n" + features + "\n" +
+         std::to_string(tree.size()) + "\n" + tree;
+}
+
 TEST(RandomForestSerializationTest, RejectsCorruptInput) {
   EXPECT_FALSE(RandomForest::Deserialize("").ok());
   EXPECT_FALSE(RandomForest::Deserialize("forest v1\n1 2 0 1 7\n0.5\n9\n").ok());
+  // A width-1 tree splitting on its feature 0.
+  const std::string tree =
+      "tree v1\n2 2\n3\n0 0.5 1 2 0.5\n-1 0 -1 -1 0.2\n"
+      "-1 0 -1 -1 0.8\n1 1\n";
+  const auto valid = RandomForest::Deserialize(OneMemberForest("1 3", tree));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ(valid->MinInputWidth(), 4u);
+  EXPECT_EQ(valid->PredictProba(std::vector<double>{0.0, 0.0, 0.0, 0.9}),
+            0.8);
+  // The member gathers two features but its tree is one wide, or the
+  // member gathers one feature for a two-wide tree.
+  EXPECT_FALSE(RandomForest::Deserialize(OneMemberForest("2 3 5", tree)).ok());
+  EXPECT_FALSE(
+      RandomForest::Deserialize(
+          OneMemberForest("1 3", "tree v1\n2 2\n3\n1 0.5 1 2 0.5\n"
+                                 "-1 0 -1 -1 0.2\n-1 0 -1 -1 0.8\n"
+                                 "2 0 1\n"))
+          .ok());
 }
 
 }  // namespace
@@ -142,6 +185,27 @@ TEST(OptimizerSerializationTest, RejectsCorruptInput) {
       DfsOptimizer::Deserialize("dfs-optimizer v1\n100 3 0.25 99\n1\nNotAStrategy\nconstant 0 0\n")
           .ok());
   EXPECT_FALSE(DfsOptimizer::LoadFromFile("/nonexistent/opt.bin").ok());
+}
+
+TEST(OptimizerSerializationTest, RejectsForestIndexPastTheFeatureVector) {
+  const std::string tree =
+      "tree v1\n2 2\n3\n0 0.5 1 2 0.5\n-1 0 -1 -1 0.2\n"
+      "-1 0 -1 -1 0.8\n1 1\n";
+  const auto optimizer_with = [&](size_t feature) {
+    const std::string forest = "forest v1\n1 2 0 1 7\n0.5 1\n1 " +
+                               std::to_string(feature) + "\n" +
+                               std::to_string(tree.size()) + "\n" + tree;
+    return "dfs-optimizer v1\n100 3 0.25 99\n1\nSFS(NR)\nmodel 0.5 " +
+           std::to_string(forest.size()) + "\n" + forest;
+  };
+  const size_t width = ScenarioFeatures::Names().size();
+  const auto last = DfsOptimizer::Deserialize(optimizer_with(width - 1));
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  ScenarioFeatures query;
+  query.values.assign(width, 0.0);
+  EXPECT_TRUE(last->PredictProbabilities(query).ok());
+  EXPECT_FALSE(DfsOptimizer::Deserialize(optimizer_with(width)).ok());
+  EXPECT_FALSE(DfsOptimizer::Deserialize(optimizer_with(1000000)).ok());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // The decision-tree HPO grid is fitted once: the depth-7 tree truncated per
-// depth, with a sorted-sweep split search. These tests pin both to the
-// trees a direct per-depth fit with a per-threshold scan builds, byte for
-// byte.
+// depth, with a presorted split search. These tests pin both to the trees
+// a direct per-depth fit with a per-threshold scan builds, byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -247,6 +246,85 @@ TEST(TreeGridTest, AdjacentDoublesSplitOnTheRoundedMidpoint) {
   EXPECT_EQ(sweep.NodeCount(), 3);
   EXPECT_EQ(sweep.PredictProba(std::vector<double>{low}), 0.0);
   EXPECT_EQ(sweep.PredictProba(std::vector<double>{high}), 1.0);
+}
+
+// Binary and 3-valued columns over duplicated rows: nearly every split
+// cuts through long runs of equal values, so the order of entries within
+// a tie group is whatever the stable partitions left. Each distinct row
+// appears several times, with labels that disagree between copies.
+Data MakeTiedData(int rows, uint64_t seed) {
+  Rng rng(seed);
+  const int distinct = rows / 4;
+  Data data{linalg::Matrix(rows, 5), std::vector<int>(rows)};
+  for (int r = 0; r < rows; ++r) {
+    if (r >= distinct) {
+      const int copy = rng.UniformInt(0, distinct - 1);
+      for (int c = 0; c < 5; ++c) data.x(r, c) = data.x(copy, c);
+    } else {
+      data.x(r, 0) = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+      data.x(r, 1) = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+      data.x(r, 2) = static_cast<double>(rng.UniformInt(0, 2));
+      data.x(r, 3) = 0.5 * rng.UniformInt(0, 2);
+      data.x(r, 4) = rng.Bernoulli(0.8) ? 1.0 : 0.0;
+    }
+    const double score = data.x(r, 0) + 0.7 * data.x(r, 2) -
+                         0.5 * data.x(r, 3) + 0.4 * data.x(r, 1);
+    data.y[r] = (score > 1.0) != rng.Bernoulli(0.2) ? 1 : 0;
+  }
+  return data;
+}
+
+TEST(TreeGridTest, HeavyTiesMatchScanAndTruncation) {
+  for (int min_samples_split : {2, 25}) {
+    const Data data = MakeTiedData(500, 21);
+    DecisionTree deepest(TreeParams(7, min_samples_split));
+    ASSERT_TRUE(deepest.Fit(data.x, data.y).ok());
+    ASSERT_GT(deepest.NodeCount(), 7);
+    for (int depth = 1; depth <= 7; ++depth) {
+      SCOPED_TRACE("min_samples_split=" + std::to_string(min_samples_split) +
+                   " depth=" + std::to_string(depth));
+      DecisionTree direct(TreeParams(depth, min_samples_split));
+      ASSERT_TRUE(direct.Fit(data.x, data.y).ok());
+      ScanReferenceTree scan(TreeParams(depth, min_samples_split));
+      scan.FitReference(data.x, data.y);
+      EXPECT_EQ(direct.Serialize(), scan.Serialize());
+      ExpectBitwiseEqual(*direct.FeatureImportances(),
+                         *scan.FeatureImportances());
+      const DecisionTree truncated = deepest.Truncated(depth);
+      EXPECT_EQ(truncated.Serialize(), direct.Serialize());
+      ExpectBitwiseEqual(*truncated.FeatureImportances(),
+                         *direct.FeatureImportances());
+    }
+  }
+}
+
+TEST(TreeGridTest, OneRowAndOneLabelFitSingleLeaves) {
+  linalg::Matrix one(1, 3);
+  one(0, 0) = 0.2;
+  one(0, 1) = 0.7;
+  one(0, 2) = 1.0;
+  const Data tied = MakeTiedData(200, 22);
+  const std::vector<int> all_positive(200, 1);
+  struct Input {
+    const linalg::Matrix* x;
+    std::vector<int> y;
+    double probability;
+  };
+  for (const Input& input : {Input{&one, {1}, 1.0}, Input{&one, {0}, 0.0},
+                             Input{&tied.x, all_positive, 1.0}}) {
+    DecisionTree tree(TreeParams(7, 2));
+    ASSERT_TRUE(tree.Fit(*input.x, input.y).ok());
+    ScanReferenceTree scan(TreeParams(7, 2));
+    scan.FitReference(*input.x, input.y);
+    EXPECT_EQ(tree.Serialize(), scan.Serialize());
+    EXPECT_EQ(tree.NodeCount(), 1);
+    EXPECT_EQ(tree.PredictProba(input.x->Row(0)), input.probability);
+    ExpectBitwiseEqual(*tree.FeatureImportances(),
+                       std::vector<double>(input.x->cols(), 0.0));
+    DecisionTree shallow(TreeParams(3, 2));
+    ASSERT_TRUE(shallow.Fit(*input.x, input.y).ok());
+    EXPECT_EQ(tree.Truncated(3).Serialize(), shallow.Serialize());
+  }
 }
 
 TEST(TreeGridTest, GridSearchMatchesPerPointLoop) {
