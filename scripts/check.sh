@@ -52,9 +52,11 @@
 #                                  # (the fuzz.corpus_replay ctest entry
 #                                  # still covers the corpus everywhere)
 #   scripts/check.sh --stress [N]  # N (default 10) repeats of the
-#                                  # thread-pool suites, engine_parallel_test
-#                                  # and experiment_test at DFS_THREADS=4,
-#                                  # in a plain build and under TSan
+#                                  # thread-pool suites, engine_parallel_test,
+#                                  # experiment_test, eval_cache_test,
+#                                  # serve_test and router_test at
+#                                  # DFS_THREADS=4, in a plain build and
+#                                  # under TSan
 #   scripts/check.sh --all         # tier-1 + --sanitize + --docs + --lint
 #                                  # + --analyze
 set -euo pipefail
@@ -137,7 +139,9 @@ run_stress() {
   # Repeats the shared-pool tests so real cores interleave their threads
   # many times over: once in the tier-1 build, once under TSan.
   local repeats="$1"
-  local targets=(util_test engine_parallel_test experiment_test)
+  local suites=(engine_parallel_test experiment_test eval_cache_test
+                serve_test router_test)
+  local targets=(util_test "${suites[@]}")
   cmake -B build -S .
   cmake --build build -j --target "${targets[@]}"
   cmake -B build-tsan -S . -DDFS_SANITIZE=thread
@@ -146,10 +150,10 @@ run_stress() {
     DFS_THREADS=4 "./$tree/tests/util_test" \
       --gtest_filter='ThreadPoolTest.*:TaskGroupTest.*:ParallelForTest.*' \
       --gtest_repeat="$repeats" --gtest_brief=1
-    DFS_THREADS=4 "./$tree/tests/engine_parallel_test" \
-      --gtest_repeat="$repeats" --gtest_brief=1
-    DFS_THREADS=4 "./$tree/tests/experiment_test" \
-      --gtest_repeat="$repeats" --gtest_brief=1
+    for suite in "${suites[@]}"; do
+      DFS_THREADS=4 "./$tree/tests/$suite" \
+        --gtest_repeat="$repeats" --gtest_brief=1
+    done
   done
 }
 

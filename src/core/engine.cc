@@ -443,6 +443,15 @@ StatusOr<std::vector<double>> DfsEngine::FittedImportances(
     const fs::FeatureMask& mask) {
   const std::vector<int> features = fs::MaskToIndices(mask);
   if (features.empty()) return InvalidArgumentError("empty mask");
+  // L2: native importances are a pure function of (context, mask) — the
+  // fit below uses default parameters and the run seed — so a vector
+  // attached by any run in this context is the one this fit would return.
+  ShardedEvalCache* shared =
+      options_.enable_eval_cache ? options_.shared_cache.get() : nullptr;
+  std::vector<double> cached;
+  if (shared != nullptr && shared->LookupImportances(mask, &cached)) {
+    return cached;
+  }
   // Default parameters: importances guide the search; HPO-quality fits are
   // not worth the cost here (matching RFE practice).
   const bool is_private = scenario_.constraint_set.privacy_epsilon.has_value();
@@ -458,9 +467,13 @@ StatusOr<std::vector<double>> DfsEngine::FittedImportances(
   DFS_RETURN_IF_ERROR(
       model->Fit(scratch->train_x, scenario_.split.train.labels()));
   auto native = model->FeatureImportances();
-  if (native.has_value()) return *native;
+  if (native.has_value()) {
+    if (shared != nullptr) shared->AttachImportances(mask, *native);
+    return *native;
+  }
   // Fallback: permutation importance on the validation split (the costly
-  // path the paper attributes to NB under RFE).
+  // path the paper attributes to NB under RFE). It draws from the run's
+  // rng_, so it depends on call order and is never shared.
   scenario_.split.validation.GatherInto(features, &scratch->validation_x);
   return ml::PermutationImportance(*model, scratch->validation_x,
                                    scenario_.split.validation.labels(),
@@ -471,6 +484,7 @@ RunResult DfsEngine::Run(fs::FeatureSelectionStrategy& strategy) {
   // Reset per-run state.
   result_ = RunResult();
   cache_.Clear();
+  rng_ = Rng(options_.seed);
   success_found_ = false;
   best_objective_ = 1e18;
   cancel_observed_.reset();

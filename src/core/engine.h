@@ -128,7 +128,8 @@ class DfsEngine : public fs::EvalContext {
   DfsEngine(MlScenario scenario, const EngineOptions& options);
 
   /// Runs `strategy` against the scenario and reports the outcome. Resets
-  /// engine state, so one engine can race several strategies sequentially.
+  /// engine state — rng() included — so one engine can race several
+  /// strategies sequentially and each sees what a fresh engine would.
   RunResult Run(fs::FeatureSelectionStrategy& strategy);
 
   // --- fs::EvalContext ------------------------------------------------
@@ -270,6 +271,8 @@ class DfsEngine : public fs::EvalContext {
 
   MlScenario scenario_;
   EngineOptions options_;
+  /// The strategy-facing stream (rng()); reseeded from options_.seed by
+  /// every Run.
   Rng rng_;
   /// Resolved width of a parallel batch (>= 1; 1 = serial).
   int batch_threads_ = 1;

@@ -391,11 +391,46 @@ size_t ShardedEvalCache::size() const {
   return total;
 }
 
+bool ShardedEvalCache::LookupImportances(const fs::FeatureMask& mask,
+                                         std::vector<double>* importances) {
+  const Shard& shard = ShardFor(mask);
+  bool hit = false;
+  {
+    util::MutexLock lock(shard.mu);
+    auto it = shard.entries.find(mask);
+    if (it != shard.entries.end() && it->second->ready &&
+        it->second->importances != nullptr) {
+      *importances = *it->second->importances;
+      hit = true;
+    }
+  }
+  (hit ? importance_hits_ : importance_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return hit;
+}
+
+bool ShardedEvalCache::AttachImportances(
+    const fs::FeatureMask& mask, const std::vector<double>& importances) {
+  Shard& shard = ShardFor(mask);
+  util::MutexLock lock(shard.mu);
+  auto it = shard.entries.find(mask);
+  if (it == shard.entries.end() || !it->second->ready ||
+      it->second->importances != nullptr) {
+    return false;
+  }
+  it->second->importances =
+      std::make_unique<const std::vector<double>>(importances);
+  return true;
+}
+
 EvalCacheStats ShardedEvalCache::Stats() const {
   EvalCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
+  stats.importance_hits = importance_hits_.load(std::memory_order_relaxed);
+  stats.importance_misses =
+      importance_misses_.load(std::memory_order_relaxed);
   stats.caches = 1;
   stats.shard_entries.reserve(shards_.size());
   for (const Shard& shard : shards_) {
@@ -583,6 +618,8 @@ EvalCacheStats EvalCacheRegistry::Stats() const {
     total.hits += stats.hits;
     total.misses += stats.misses;
     total.inserts += stats.inserts;
+    total.importance_hits += stats.importance_hits;
+    total.importance_misses += stats.importance_misses;
     total.entries += stats.entries;
     if (total.shard_entries.size() < stats.shard_entries.size()) {
       total.shard_entries.resize(stats.shard_entries.size(), 0);

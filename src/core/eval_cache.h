@@ -36,13 +36,16 @@ struct EvalCacheOptions {
 };
 
 /// Snapshot of one cache's (or, aggregated, a registry's) activity.
-/// Counters cover the shared-surface operations (Lookup/InsertPublished
-/// and spill/restore); the in-flight dedup path (Acquire/Publish/Abandon)
-/// keeps its accounting in the engine ("engine.cache_hits").
+/// Counters cover the shared-surface operations (Lookup/InsertPublished,
+/// LookupImportances and spill/restore); the in-flight dedup path
+/// (Acquire/Publish/Abandon) keeps its accounting in the engine
+/// ("engine.cache_hits").
 struct EvalCacheStats {
   uint64_t hits = 0;      ///< Lookup served a published entry
   uint64_t misses = 0;    ///< Lookup found nothing published
   uint64_t inserts = 0;   ///< published entries added via InsertPublished
+  uint64_t importance_hits = 0;    ///< LookupImportances found a vector
+  uint64_t importance_misses = 0;  ///< LookupImportances found none
   uint64_t spills = 0;    ///< serialize/save operations (registry level)
   uint64_t restores = 0;  ///< restore/load operations (registry level)
   size_t caches = 0;      ///< caches in the registry (registry level)
@@ -68,6 +71,11 @@ struct EvalCacheStats {
 /// comes back later. Wrap ownership in an OwnerGuard so an owner that
 /// unwinds without resolving (a throwing evaluation) abandons eagerly
 /// instead of leaving waiters blocked behind a dead owner forever.
+///
+/// A published entry may also carry the mask's native feature importances
+/// (AttachImportances/LookupImportances), so RFE's per-step importance fit
+/// is served from a shared cache like its wrapper evaluations. They are
+/// memory-only: the spill format does not carry them (DESIGN.md §2h).
 ///
 /// Persistence: Serialize/RestoreState (and the SaveToFile/LoadFromFile
 /// convenience pair) spill the published entries to the versioned,
@@ -144,6 +152,19 @@ class ShardedEvalCache {
   bool InsertPublished(const fs::FeatureMask& mask,
                        const fs::EvalOutcome& outcome);
 
+  /// Non-blocking probe for the importance vector attached to `mask`'s
+  /// published entry: one map probe under the shard mutex, like Lookup.
+  /// Misses when the mask is absent, pending, or has none attached.
+  bool LookupImportances(const fs::FeatureMask& mask,
+                         std::vector<double>* importances);
+
+  /// Attaches `importances` to `mask`'s published entry. First writer wins:
+  /// returns false and changes nothing when the entry already carries a
+  /// vector, or when the mask has no published entry (an importance vector
+  /// is only kept beside the outcome of the same mask).
+  bool AttachImportances(const fs::FeatureMask& mask,
+                         const std::vector<double>& importances);
+
   /// Drops every entry. Must not race Acquire/Publish (the engine clears
   /// only between runs, when no batch is in flight).
   void Clear();
@@ -183,6 +204,10 @@ class ShardedEvalCache {
     bool ready = false;
     bool abandoned = false;
     fs::EvalOutcome outcome;
+    /// The mask's native feature importances (AttachImportances); null
+    /// until attached, never spilled. Most entries never carry one, so a
+    /// pointer keeps them one word larger rather than four.
+    std::unique_ptr<const std::vector<double>> importances;
   };
 
   struct Shard {
@@ -208,6 +233,8 @@ class ShardedEvalCache {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   mutable std::atomic<uint64_t> inserts_{0};
+  mutable std::atomic<uint64_t> importance_hits_{0};
+  mutable std::atomic<uint64_t> importance_misses_{0};
 };
 
 /// Process-level collection of shared eval caches, one per evaluation-

@@ -14,7 +14,10 @@ namespace dfs::core {
 /// v5: DiscreteMutualInformation / DiscreteEntropy accumulate in sorted
 /// key order (previously unordered_map iteration order), so MI-based
 /// rankings may differ by an ULP across the bump.
-inline constexpr uint64_t kSuiteVersion = 5;
+/// v6: DfsEngine::Run reseeds the strategy-facing rng() per run, so a
+/// strategy raced after others on one engine (ExperimentPool's multi-
+/// strategy pools) draws what a fresh engine would.
+inline constexpr uint64_t kSuiteVersion = 6;
 
 }  // namespace dfs::core
 

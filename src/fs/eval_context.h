@@ -13,11 +13,17 @@
 
 namespace dfs::fs {
 
-/// Result of one wrapper evaluation of a feature subset.
+/// Result of one wrapper evaluation of a feature subset. The three flags
+/// lead so they share one padded word: every eval-cache entry holds one.
 struct EvalOutcome {
   /// False when the evaluation did not run (deadline expired, empty mask,
   /// or over the evaluation-independent size bound).
   bool evaluated = false;
+  /// All constraints hold on validation.
+  bool satisfied_validation = false;
+  /// All constraints hold on validation *and* test — the DFS workflow's
+  /// success criterion (Figure 2); strategies should stop searching.
+  bool success = false;
   /// Wall-clock cost of this evaluation (train [+HPO] + measure +
   /// confirm-on-test); 0 for cache hits and skipped evaluations. The same
   /// value lands in the dfs::obs histograms "engine.evaluation_seconds"
@@ -29,11 +35,6 @@ struct EvalOutcome {
   double distance = 1e18;
   /// Eq. (2) objective (== distance unless utility mode is active).
   double objective = 1e18;
-  /// All constraints hold on validation.
-  bool satisfied_validation = false;
-  /// All constraints hold on validation *and* test — the DFS workflow's
-  /// success criterion (Figure 2); strategies should stop searching.
-  bool success = false;
 };
 
 /// The wrapper-evaluation environment a feature-selection strategy runs in.

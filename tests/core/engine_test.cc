@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/scenario.h"
 #include "fs/registry.h"
@@ -285,6 +288,32 @@ TEST(DfsEngineTest, TraceOffByDefault) {
   auto strategy = fs::CreateStrategy(fs::StrategyId::kSfs, 9);
   const RunResult result = engine.Run(*strategy);
   EXPECT_TRUE(result.trace.empty());
+}
+
+// Run resets the strategy-facing rng() with the rest of the per-run state:
+// a strategy's draws must not depend on which strategies raced before it
+// on the same engine.
+TEST(DfsEngineTest, RunReseedsStrategyRng) {
+  struct RecordingStrategy : fs::FeatureSelectionStrategy {
+    std::string name() const override { return "Recording"; }
+    fs::StrategyInfo info() const override { return {}; }
+    void Run(fs::EvalContext& context) override {
+      draws.push_back(context.rng().Next());
+    }
+    std::vector<uint64_t> draws;
+  } recording;
+  const MlScenario scenario = MakeTestScenario(EasySet());
+  EngineOptions options;
+  options.seed = 11;
+
+  DfsEngine fresh(scenario, options);
+  fresh.Run(recording);
+  DfsEngine reused(scenario, options);
+  reused.Run(recording);
+  reused.Run(recording);
+  ASSERT_EQ(recording.draws.size(), 3u);
+  EXPECT_EQ(recording.draws[1], recording.draws[0]);
+  EXPECT_EQ(recording.draws[2], recording.draws[0]);
 }
 
 TEST(DfsEngineTest, FittedImportancesMatchSelectionSize) {

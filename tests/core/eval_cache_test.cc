@@ -1,17 +1,20 @@
 // Shared-eval-cache tests: spill/restore round-trip byte-identity,
 // rejection of corrupt/truncated/stale spills, the non-blocking Lookup
 // contract, the OwnerGuard dead-owner regression, registry persistence
-// and its counter accounting, engine L2 integration, and a concurrent
-// lookup/insert/spill churn test for the TSan fleet.
+// and its counter accounting, engine L2 integration (outcomes and RFE
+// importances), and a concurrent lookup/insert/spill churn test for the
+// TSan fleet.
 
 #include "core/eval_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,6 +59,11 @@ fs::EvalOutcome OutcomeFor(uint32_t id) {
   outcome.validation.selected_features = static_cast<int>(id % 64);
   outcome.validation.total_features = 64;
   return outcome;
+}
+
+// A distinct importance vector per id (the churn test's attach payload).
+std::vector<double> ImportancesFor(uint32_t id) {
+  return {id / 3.0, -static_cast<double>(id), 0.5};
 }
 
 void ExpectOutcomeEq(const fs::EvalOutcome& want, const fs::EvalOutcome& got,
@@ -596,14 +604,16 @@ TEST(EvalCacheRegistryTest, RejectsTruncatedMemberLength) {
 
 // ---- Engine L2 integration --------------------------------------------
 
-MlScenario CacheTestScenario() {
+MlScenario CacheTestScenario(
+    ml::ModelKind model = ml::ModelKind::kLogisticRegression,
+    std::optional<double> privacy_epsilon = {}) {
   constraints::ConstraintSet set;
   set.min_f1 = 0.999;  // unreachable: full search sweep, many evaluations
   set.max_search_seconds = 60.0;
+  set.privacy_epsilon = privacy_epsilon;
   Rng rng(301);
-  auto scenario =
-      MakeScenario(testing::MakeLinearDataset(200, 3, 300),
-                   ml::ModelKind::kLogisticRegression, set, rng);
+  auto scenario = MakeScenario(testing::MakeLinearDataset(200, 3, 300), model,
+                               set, rng);
   DFS_CHECK(scenario.ok());
   return std::move(scenario).value();
 }
@@ -688,10 +698,158 @@ TEST(EngineSharedCacheTest, WarmRestartServesFromRestoredSpill) {
   EXPECT_EQ(warm.evaluations, 0);
 }
 
+// ---- Importances in the shared cache ----------------------------------
+
+EngineOptions ImportanceTestOptions(
+    std::shared_ptr<ShardedEvalCache> shared = nullptr) {
+  EngineOptions options;
+  options.seed = 77;
+  options.num_threads = 1;
+  options.shared_cache = std::move(shared);
+  return options;
+}
+
+RunResult RunRfe(const MlScenario& scenario, const EngineOptions& options) {
+  auto strategy = fs::CreateStrategy(fs::StrategyId::kRfe, /*seed=*/5);
+  DfsEngine engine(scenario, options);
+  return engine.Run(*strategy);
+}
+
+void ExpectSameRun(const RunResult& want, const RunResult& got) {
+  EXPECT_EQ(want.selected, got.selected);
+  EXPECT_EQ(want.best_distance_validation, got.best_distance_validation);
+  EXPECT_EQ(want.best_distance_test, got.best_distance_test);
+  EXPECT_EQ(want.test_f1, got.test_f1);
+}
+
+// Every non-empty mask over `n` features, in index order.
+std::vector<fs::FeatureMask> AllMasks(int n) {
+  std::vector<fs::FeatureMask> masks;
+  for (uint32_t bits = 1; bits < (1u << n); ++bits) {
+    fs::FeatureMask mask(n, 0);
+    for (int f = 0; f < n; ++f) mask[f] = (bits >> f) & 1u;
+    masks.push_back(std::move(mask));
+  }
+  return masks;
+}
+
+class EngineImportanceCacheTest
+    : public ::testing::TestWithParam<ml::ModelKind> {};
+
+// A cold RFE run attaches the native importances of every subset it ranks;
+// a warm run in the same context then ranks from the cache without one
+// importance fit, and both select exactly what a run without L2 selects.
+TEST_P(EngineImportanceCacheTest, WarmRfeRefitsNothingAndSelectsIdentically) {
+  const MlScenario scenario = CacheTestScenario(GetParam());
+  const RunResult plain = RunRfe(scenario, ImportanceTestOptions());
+  ASSERT_GT(plain.evaluations, 0);
+
+  auto shared = std::make_shared<ShardedEvalCache>();
+  const RunResult cold = RunRfe(scenario, ImportanceTestOptions(shared));
+  ExpectSameRun(plain, cold);
+  EXPECT_EQ(cold.evaluations, plain.evaluations);
+  const EvalCacheStats after_cold = shared->Stats();
+  EXPECT_EQ(after_cold.importance_hits, 0u);
+  ASSERT_GT(after_cold.importance_misses, 0u);
+
+  const RunResult warm = RunRfe(scenario, ImportanceTestOptions(shared));
+  ExpectSameRun(plain, warm);
+  EXPECT_EQ(warm.evaluations, 0);
+  const EvalCacheStats after_warm = shared->Stats();
+  EXPECT_EQ(after_warm.importance_misses, after_cold.importance_misses);
+  EXPECT_EQ(after_warm.importance_hits, after_cold.importance_misses);
+}
+
+// A cached vector is the one a fresh engine would fit for that mask, to
+// the bit.
+TEST_P(EngineImportanceCacheTest, CachedVectorEqualsFreshFit) {
+  const MlScenario scenario = CacheTestScenario(GetParam());
+  auto shared = std::make_shared<ShardedEvalCache>();
+  RunRfe(scenario, ImportanceTestOptions(shared));
+
+  DfsEngine fresh(scenario, ImportanceTestOptions());
+  int attached = 0;
+  for (const fs::FeatureMask& mask : AllMasks(fresh.num_features())) {
+    std::vector<double> cached;
+    if (!shared->LookupImportances(mask, &cached)) continue;
+    ++attached;
+    auto fitted = fresh.FittedImportances(mask);
+    ASSERT_TRUE(fitted.ok());
+    ASSERT_EQ(cached.size(), fitted->size());
+    for (size_t i = 0; i < cached.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(cached[i]),
+                std::bit_cast<uint64_t>((*fitted)[i]))
+          << "feature " << i;
+    }
+  }
+  // RFE ranks the full set and every kept subset down to two features.
+  EXPECT_EQ(attached, fresh.num_features() - 1);
+}
+
+// The spill carries outcomes only: a restored cache has no importances, a
+// run against it still selects identically, and it re-attaches them.
+TEST_P(EngineImportanceCacheTest, RestoredSpillHasNoImportances) {
+  const MlScenario scenario = CacheTestScenario(GetParam());
+  auto shared = std::make_shared<ShardedEvalCache>();
+  const RunResult cold = RunRfe(scenario, ImportanceTestOptions(shared));
+
+  auto restored = std::make_shared<ShardedEvalCache>();
+  ASSERT_TRUE(restored->RestoreState(shared->Serialize()).ok());
+  const int n = scenario.split.train.num_features();
+  std::vector<double> cached;
+  for (const fs::FeatureMask& mask : AllMasks(n)) {
+    EXPECT_FALSE(restored->LookupImportances(mask, &cached));
+  }
+
+  const RunResult warm = RunRfe(scenario, ImportanceTestOptions(restored));
+  ExpectSameRun(cold, warm);
+  EXPECT_EQ(warm.evaluations, 0);
+  EXPECT_TRUE(restored->LookupImportances(fs::FullMask(n), &cached));
+}
+
+INSTANTIATE_TEST_SUITE_P(NativeImportances, EngineImportanceCacheTest,
+                         ::testing::Values(ml::ModelKind::kLogisticRegression,
+                                           ml::ModelKind::kDecisionTree),
+                         [](const auto& info) {
+                           return info.param ==
+                                          ml::ModelKind::kLogisticRegression
+                                      ? std::string("LR")
+                                      : std::string("DT");
+                         });
+
+// Models without native importances (NB, DP-NB, DP-DT) rank by permutation
+// importance drawn from the run's RNG: never attached, always recomputed,
+// and the run matches one without L2.
+TEST(EngineImportanceFallbackTest, PermutationFallbackIsNeverAttached) {
+  const std::vector<MlScenario> scenarios = {
+      CacheTestScenario(ml::ModelKind::kNaiveBayes),
+      CacheTestScenario(ml::ModelKind::kDecisionTree, /*privacy_epsilon=*/1.0),
+  };
+  for (const MlScenario& scenario : scenarios) {
+    const RunResult plain = RunRfe(scenario, ImportanceTestOptions());
+    auto shared = std::make_shared<ShardedEvalCache>();
+    const RunResult with_shared =
+        RunRfe(scenario, ImportanceTestOptions(shared));
+    ExpectSameRun(plain, with_shared);
+    EXPECT_EQ(with_shared.evaluations, plain.evaluations);
+
+    int visited = 0;
+    fs::EvalOutcome outcome;
+    std::vector<double> cached;
+    for (const fs::FeatureMask& mask :
+         AllMasks(scenario.split.train.num_features())) {
+      if (!shared->Lookup(mask, &outcome)) continue;
+      ++visited;
+      EXPECT_FALSE(shared->LookupImportances(mask, &cached));
+    }
+    EXPECT_GT(visited, 0);
+  }
+}
+
 // ---- Concurrent churn (TSan fleet) ------------------------------------
 
-// Lookups, inserts, acquire/publish/abandon, spills, restores and stats
-// reads all race on one cache. Run under TSan by scripts/check.sh
+// Lookups, inserts, importance attaches and lookups, acquire/publish/
+// abandon, spills, restores and stats reads all race on one cache. Run under TSan by scripts/check.sh
 // --sanitize.
 TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
   ShardedEvalCache cache(EvalCacheOptions{.num_shards = 4});
@@ -704,15 +862,21 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       fs::EvalOutcome got;
+      std::vector<double> importances;
       for (uint32_t round = 0; round < 400 && !stop.load(); ++round) {
         const uint32_t id = (round * 17 + t * 131) % kMasks;
         switch (t % 4) {
-          case 0:  // insert-publish
+          case 0:  // insert-publish, then attach importances
             cache.InsertPublished(MaskFor(id), OutcomeFor(id));
+            cache.AttachImportances(MaskFor(id), ImportancesFor(id));
             break;
           case 1:  // non-blocking lookups: a hit must carry the right value
             if (cache.Lookup(MaskFor(id), &got) &&
                 got.objective != OutcomeFor(id).objective) {
+              wrong.fetch_add(1);
+            }
+            if (cache.LookupImportances(MaskFor(id), &importances) &&
+                importances != ImportancesFor(id)) {
               wrong.fetch_add(1);
             }
             break;
@@ -723,6 +887,7 @@ TEST(EvalCacheChurnTest, ConcurrentLookupInsertSpillChurn) {
                   cache.Abandon(MaskFor(id));
                 } else {
                   cache.Publish(MaskFor(id), OutcomeFor(id));
+                  cache.AttachImportances(MaskFor(id), ImportancesFor(id));
                 }
                 break;
               case ShardedEvalCache::Acquired::kHit:
