@@ -6,10 +6,12 @@
 Prints one line per benchmark present in both files with the real_time
 delta (negative = faster), plus benchmarks that appear on only one side.
 With --threshold, exits 1 if any shared benchmark regressed (got slower)
-by more than PCT percent — the form CI wants:
+by more than PCT percent, or if a baseline row is missing from the
+current run (a gated row that was not measured is not a pass). Rows only
+in the current run pass. This is the form CI wants:
 
-    scripts/bench_diff.py BENCH_results.pre_span.json BENCH_results.json \
-        --threshold 10
+    scripts/check.sh --bench-smoke /tmp/current.json
+    scripts/bench_diff.py BENCH_results.json /tmp/current.json --threshold 75
 
 Both snapshots should come from `scripts/check.sh --bench-smoke` (Release
 builds, fixed DFS_THREADS); comparing a debug snapshot to a release one
@@ -47,7 +49,7 @@ def main():
     parser.add_argument(
         "--threshold", type=float, default=None, metavar="PCT",
         help="exit 1 if any benchmark is more than PCT%% slower "
-             "than the baseline")
+             "than the baseline or missing from the current run")
     args = parser.parse_args()
 
     baseline = load_benchmarks(args.baseline)
@@ -73,17 +75,21 @@ def main():
         if args.threshold is not None and delta_pct > args.threshold:
             regressions.append((name, delta_pct))
 
-    for name in sorted(set(baseline) - set(current)):
+    missing = sorted(set(baseline) - set(current))
+    for name in missing:
         print(f"{name:<{width}}  only in baseline")
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<{width}}  only in current")
 
-    if regressions:
-        for name, delta_pct in regressions:
-            print(f"bench_diff: REGRESSION {name}: {delta_pct:+.1f}% "
-                  f"(threshold {args.threshold:+.1f}%)", file=sys.stderr)
-        return 1
-    return 0
+    if args.threshold is None:
+        return 0
+    for name, delta_pct in regressions:
+        print(f"bench_diff: REGRESSION {name}: {delta_pct:+.1f}% "
+              f"(threshold {args.threshold:+.1f}%)", file=sys.stderr)
+    for name in missing:
+        print(f"bench_diff: MISSING {name}: in the baseline but not "
+              f"measured in the current run", file=sys.stderr)
+    return 1 if regressions or missing else 0
 
 
 if __name__ == "__main__":

@@ -20,14 +20,16 @@
 #                                  # every tools/ binary is mentioned
 #                                  # in some Markdown file, every
 #                                  # EngineOptions::<field> the docs name
-#                                  # exists in src/core/engine.h, and
-#                                  # every option(DFS_*) is documented
-#   scripts/check.sh --bench-smoke # build bench_micro and snapshot the
-#                                  # serial-vs-parallel candidate-sweep
-#                                  # throughput to BENCH_results.json,
-#                                  # plus dfs_loadgen serve-load rows
-#                                  # (epoll vs thread-per-connection,
-#                                  # 1k-channel, and past-saturation shed),
+#                                  # exists in src/core/engine.h,
+#                                  # every option(DFS_*) is documented,
+#                                  # and every BM_* row the docs name is
+#                                  # registered in bench/*.cc
+#   scripts/check.sh --bench-smoke [out.json]
+#                                  # Release-build bench_micro and snapshot
+#                                  # its gated rows (one uncached
+#                                  # evaluation, eval-cache hit/miss, the
+#                                  # MatVec/SquaredDistance kernels) to
+#                                  # out.json (default BENCH_results.json),
 #                                  # then the end-to-end benchmark's
 #                                  # correctness smoke (bench/e2e)
 #   scripts/check.sh --lint        # static gate (no test run): dfs_lint
@@ -197,57 +199,15 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   # debug build of this library. (The build/ tree's type is whatever the
   # developer last configured; build-bench is pinned.)
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-bench -j --target bench_micro bench_serve_throughput \
-    dfs_loadgen
-  # Covers the hot-path kernels (GatherInto, span PredictBatch, one
-  # uncached evaluation), the Arg(1) serial baseline through Arg(0)
-  # full-budget candidate sweep, the eval-cache miss probe (one locked
-  # map probe), and the warm-restart spill decode; DFS_THREADS caps the
-  # budget so the snapshot is reproducible on wide machines.
+  cmake --build build-bench -j --target bench_micro
+  # The gated rows: one uncached evaluation, the eval-cache hit and miss
+  # paths, and the AVX2 kernel shapes. DFS_THREADS caps the budget so the
+  # snapshot is reproducible on wide machines.
   out="${2:-BENCH_results.json}"
   DFS_THREADS="${DFS_THREADS:-4}" ./build-bench/bench/bench_micro \
-    --benchmark_filter='EngineEvaluateBatch|EvaluateUncached|GatherInto|PredictBatchSpan|EvalCache|MatVec|SquaredDistanceSpan' \
+    --benchmark_filter='EvaluateUncached|EvalCache|MatVec|SquaredDistanceSpan' \
     --benchmark_min_time=0.2 \
-    --json "$out"
-  # Router cost on the serve submit path: router-off explicit jobs vs
-  # router-on "auto" jobs (static, and with the online learning loop).
-  # Folded into the same snapshot so bench_diff.py sees all rows.
-  DFS_THREADS="${DFS_THREADS:-4}" ./build-bench/bench/bench_serve_throughput \
-    --benchmark_filter='ServeRoutedThroughput' \
-    --benchmark_min_time=0.2 \
-    --json "$out.routed"
-  # Serve front-end under open-loop load (tools/dfs_loadgen, real TCP,
-  # the epoll event loop):
-  #   * moderate load — bench_diff.py gates the front-end p50/p95/p99
-  #     rows against the committed snapshot.
-  #   * 1k+ concurrent channels sustained through the event loop.
-  #   * submit workload pushed past saturation with the admission
-  #     watermark on: throughput plateaus and sheds rise (the shed/error
-  #     counts ride in the row labels; only latencies/ns_per_op are
-  #     gateable rows).
-  ./build-bench/tools/dfs_loadgen --workload ping --mode open \
-    --connections 64 --rate 500 --requests 1500 --json "$out.lg_epoll"
-  ./build-bench/tools/dfs_loadgen --workload ping --mode open \
-    --connections 1024 --rate 2000 --requests 10000 \
-    --json "$out.lg_1k"
-  ./build-bench/tools/dfs_loadgen --workload submit --mode open \
-    --connections 64 --rate 4000 --requests 8000 --workers 1 \
-    --queue-capacity 16 --shed-watermark 16 --json "$out.lg_shed"
-  python3 - "$out" "$out.routed" "$out.lg_epoll" "$out.lg_1k" \
-    "$out.lg_shed" <<'PY'
-import json, sys
-main_path, extra_paths = sys.argv[1], sys.argv[2:]
-with open(main_path, encoding="utf-8") as fh:
-    report = json.load(fh)
-for extra_path in extra_paths:
-    with open(extra_path, encoding="utf-8") as fh:
-        extra = json.load(fh)
-    report["benchmarks"].extend(extra.get("benchmarks", []))
-with open(main_path, "w", encoding="utf-8") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-PY
-  rm -f "$out.routed" "$out.lg_epoll" "$out.lg_1k" "$out.lg_shed"
+    --benchmark_out="$out" --benchmark_out_format=json
   # Note: the JSON's "library_build_type" describes the *system*
   # libbenchmark (Debian ships it non-NDEBUG, i.e. "debug" forever);
   # "dfs_build_type" is this library's own build and is the one gated.

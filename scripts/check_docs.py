@@ -35,6 +35,9 @@
    EngineOptions` in src/core/engine.h, and every `option(DFS_*)` in the
    root CMakeLists.txt is named in one of those documents. CHANGES.md is
    skipped on purpose: it is a history and names removed fields.
+9. Every `BM_<Name>` micro-benchmark named in a reference document (the
+   set rule 8 scans) is registered by a `BENCHMARK(BM_<Name>)` in
+   bench/*.cc, so the docs cannot keep citing a deleted row.
 """
 
 import glob
@@ -274,11 +277,30 @@ def check_lock_order_artifact():
     return errors
 
 
+def check_micro_benchmarks():
+    registered = set()
+    for path in sorted(glob.glob(os.path.join(REPO, "bench", "*.cc"))):
+        with open(path, encoding="utf-8") as handle:
+            registered |= set(re.findall(r"\bBENCHMARK\(\s*(BM_\w+)",
+                                         handle.read()))
+    errors = []
+    for path in reference_docs():
+        with open(path, encoding="utf-8") as handle:
+            named = set(re.findall(r"\b(BM_\w+)", handle.read()))
+        errors += [
+            f"{os.path.relpath(path, REPO)} names '{name}' but no "
+            f"BENCHMARK({name}) is registered in bench/*.cc"
+            for name in sorted(named - registered)
+        ]
+    return errors
+
+
 def main():
     errors = (check_links() + check_bench_binaries() + check_env_knobs() +
               check_tool_binaries() + check_cache_instruments() +
               check_cache_format_version() + check_lock_order_artifact() +
-              check_engine_options_and_build_options())
+              check_engine_options_and_build_options() +
+              check_micro_benchmarks())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:

@@ -1,6 +1,9 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
@@ -46,20 +49,33 @@ Status FlagParser::Assign(const Flag& flag, const std::string& text) {
       return OkStatus();
     case Kind::kDouble: {
       char* end = nullptr;
+      errno = 0;
       const double value = std::strtod(text.c_str(), &end);
       if (end == nullptr || *end != '\0' || text.empty()) {
         return InvalidArgumentError("--" + flag.name +
                                     " expects a number, got '" + text + "'");
+      }
+      if (errno == ERANGE || !std::isfinite(value)) {
+        return InvalidArgumentError("--" + flag.name +
+                                    " expects a finite number in double "
+                                    "range, got '" + text + "'");
       }
       *static_cast<double*>(flag.target) = value;
       return OkStatus();
     }
     case Kind::kInt: {
       char* end = nullptr;
+      errno = 0;
       const long value = std::strtol(text.c_str(), &end, 10);
       if (end == nullptr || *end != '\0' || text.empty()) {
         return InvalidArgumentError("--" + flag.name +
                                     " expects an integer, got '" + text +
+                                    "'");
+      }
+      if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+          value > std::numeric_limits<int>::max()) {
+        return InvalidArgumentError("--" + flag.name +
+                                    " is out of range for an int: '" + text +
                                     "'");
       }
       *static_cast<int*>(flag.target) = static_cast<int>(value);

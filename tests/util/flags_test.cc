@@ -80,6 +80,21 @@ TEST(FlagParserTest, Errors) {
   EXPECT_FALSE(ParseInto(flags, {"--count", "abc"}).ok());   // not an int
   EXPECT_FALSE(ParseInto(flags, {"--threshold", "x"}).ok()); // not a number
   EXPECT_FALSE(ParseInto(flags, {"--verbose=maybe"}).ok());
+  // Out of int range: strtol's long must not be truncated into an int.
+  EXPECT_FALSE(ParseInto(flags, {"--count", "4294967297"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--count", "2147483648"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--count", "-2147483649"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--count", "99999999999999999999"}).ok());
+  // Non-finite or overflowing doubles.
+  EXPECT_FALSE(ParseInto(flags, {"--threshold", "nan"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--threshold", "inf"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--threshold", "-inf"}).ok());
+  EXPECT_FALSE(ParseInto(flags, {"--threshold", "1e999"}).ok());
+  // The limits themselves still parse.
+  ASSERT_TRUE(ParseInto(flags, {"--count", "2147483647"}).ok());
+  EXPECT_EQ(flags.count, 2147483647);
+  ASSERT_TRUE(ParseInto(flags, {"--count=-2147483648"}).ok());
+  EXPECT_EQ(flags.count, -2147483647 - 1);
 }
 
 TEST(FlagParserTest, HelpListsFlags) {

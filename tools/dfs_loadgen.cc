@@ -1,33 +1,24 @@
-// dfs_loadgen — open/closed-loop load generator for the serve front-end.
+// dfs_loadgen — open-loop load generator for the serve front-end.
 //
-//   dfs_loadgen --workload ping --mode open --connections 1024
-//               --rate 2000 --requests 20000 --json out.json
+//   dfs_loadgen --workload ping --connections 1024 --rate 2000
+//               --requests 20000
 //
 // Boots an in-process DfsServer behind the epoll event-loop front-end
-// (the one dfs_serverd runs), then drives it over real TCP with a
-// registered named workload. Two load modes:
-//
-//   * open   — requests fire on a fixed arrival schedule (--rate per
-//     second, spread round-robin over --connections keep-alive channels).
-//     Latency is measured from the *intended* arrival time, so queueing
-//     delay that a slow server inflicts on the schedule is charged to the
-//     server (no coordinated omission: a closed loop would politely stop
-//     sending while the server struggles and hide the collapse).
-//   * closed — every channel sends back-to-back round trips; latency is
-//     the plain round-trip time. Good for peak-throughput numbers, blind
-//     to queueing collapse.
+// (the one dfs_serverd runs), then drives it over real TCP with a named
+// workload (`ping` or `submit`). Requests fire on a fixed arrival schedule
+// (--rate per second, spread round-robin over --connections keep-alive
+// channels). Latency is measured from the *intended* arrival time, so
+// queueing delay that a slow server inflicts on the schedule is charged
+// to the server (no coordinated omission: a closed loop would politely
+// stop sending while the server struggles and hide the collapse).
 //
 // Output: completed/shed/error counts, throughput, and p50/p95/p99/p999
-// latency. --json writes a google-benchmark-compatible report (rows named
-// LoadGen/epoll/<workload>/<mode>/c<N>/r<rate>/<stat>) so
-// scripts/bench_diff.py can gate front-end latency against the committed
-// BENCH snapshot. Shed responses count as completions (a fast queue_full
-// line IS the backpressure contract working); served vs shed counts are
-// reported separately.
+// latency. Shed responses count as completions (a fast queue_full line IS
+// the backpressure contract working); served vs shed counts are reported
+// separately. Exit 1 if nothing completed, 2 on any transport failure.
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 
 #include <algorithm>
 #include <atomic>
@@ -68,19 +59,12 @@ data::Dataset TinyDataset() {
 /// A named workload: one request line per sequence number.
 struct Workload {
   const char* name;
-  const char* description;
   std::string (*line)(uint64_t seq);
 };
 
 std::string PingLine(uint64_t) {
   serve::JsonObject object;
   object["op"] = serve::JsonValue::String("ping");
-  return serve::WriteJsonLine(object);
-}
-
-std::string StatsLine(uint64_t) {
-  serve::JsonObject object;
-  object["op"] = serve::JsonValue::String("stats");
   return serve::WriteJsonLine(object);
 }
 
@@ -101,13 +85,8 @@ std::string SubmitLine(uint64_t seq) {
 }
 
 constexpr Workload kWorkloads[] = {
-    {"ping", "pure front-end round trip ({\"op\":\"ping\"})", PingLine},
-    {"stats", "service counters (takes server-side stats locks)",
-     StatsLine},
-    {"submit",
-     "one-evaluation job submit (full dispatch + queue path; sheds past "
-     "saturation)",
-     SubmitLine},
+    {"ping", PingLine},
+    {"submit", SubmitLine},
 };
 
 const Workload* FindWorkload(const std::string& name) {
@@ -118,18 +97,15 @@ const Workload* FindWorkload(const std::string& name) {
 }
 
 struct LoadOptions {
-  std::string mode = "open";  // open | closed
   std::string workload = "ping";
   int connections = 64;
-  double rate = 1000.0;  // aggregate target arrival rate (open mode)
+  double rate = 1000.0;  // aggregate target arrival rate
   int requests = 5000;   // total requests across all channels
   int workers = 2;
   int queue_capacity = 64;
   int io_threads = 2;
   int shed_watermark = 0;
   int max_connections = 4096;
-  std::string json;  // google-benchmark JSON output path
-  bool list_workloads = false;
   bool help = false;
 };
 
@@ -147,9 +123,8 @@ bool IsShedLine(const std::string& line) {
 }
 
 /// One channel's schedule: sequence numbers `index, index+C, index+2C...`
-/// below `total`. In open mode each request waits for its intended
-/// arrival time (base + seq/rate) and latency runs from that intended
-/// time; in closed mode requests are back-to-back round trips.
+/// below `total`. Each request waits for its intended arrival time
+/// (base + seq/rate) and latency runs from that intended time.
 void RunChannel(const LoadOptions& options, const Workload& workload,
                 int port, int index, const Stopwatch& base,
                 ChannelResult& result) {
@@ -159,18 +134,14 @@ void RunChannel(const LoadOptions& options, const Workload& workload,
     return;
   }
   serve::LineChannel channel(*fd);
-  const bool open_loop = options.mode == "open";
   const uint64_t total = static_cast<uint64_t>(options.requests);
   const uint64_t stride = static_cast<uint64_t>(options.connections);
   for (uint64_t seq = static_cast<uint64_t>(index); seq < total;
        seq += stride) {
-    double intended = base.ElapsedSeconds();
-    if (open_loop) {
-      intended = static_cast<double>(seq) / options.rate;
-      const double ahead = intended - base.ElapsedSeconds();
-      if (ahead > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
-      }
+    const double intended = static_cast<double>(seq) / options.rate;
+    const double ahead = intended - base.ElapsedSeconds();
+    if (ahead > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
     }
     if (Status status = channel.WriteLine(workload.line(seq));
         !status.ok()) {
@@ -238,86 +209,20 @@ Summary Summarize(std::vector<ChannelResult>& results,
   return summary;
 }
 
-/// google-benchmark-compatible JSON (the subset bench_diff.py reads:
-/// name/run_type/real_time/time_unit), one row per latency stat plus a
-/// gateable ns_per_op throughput row. Counts ride in the label field so
-/// run-to-run shed jitter never trips the latency gate.
-Status WriteJson(const LoadOptions& options, const Summary& summary,
-                 const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return InternalError("cannot write " + path);
-  // The "epoll" segment names the front-end; it stays so committed rows
-  // keep matching in scripts/bench_diff.py.
-  const std::string prefix =
-      "LoadGen/epoll/" + options.workload + "/" +
-      options.mode + "/c" + std::to_string(options.connections) + "/r" +
-      std::to_string(options.mode == "open"
-                         ? static_cast<int>(options.rate)
-                         : 0);
-  const std::pair<const char*, double> rows[] = {
-      {"p50", summary.p50 * 1e9},
-      {"p95", summary.p95 * 1e9},
-      {"p99", summary.p99 * 1e9},
-      {"p999", summary.p999 * 1e9},
-      {"mean", summary.mean * 1e9},
-      {"ns_per_op",
-       summary.completed > 0
-           ? summary.wall_seconds * 1e9 /
-                 static_cast<double>(summary.completed)
-           : 0.0},
-  };
-  std::fprintf(out, "{\n  \"context\": {\n");
-#ifdef NDEBUG
-  std::fprintf(out, "    \"dfs_build_type\": \"release\"\n");
-#else
-  std::fprintf(out, "    \"dfs_build_type\": \"debug\"\n");
-#endif
-  std::fprintf(out, "  },\n  \"benchmarks\": [\n");
-  const size_t count = sizeof(rows) / sizeof(rows[0]);
-  for (size_t i = 0; i < count; ++i) {
-    std::fprintf(out,
-                 "    {\n"
-                 "      \"name\": \"%s/%s\",\n"
-                 "      \"run_name\": \"%s/%s\",\n"
-                 "      \"run_type\": \"iteration\",\n"
-                 "      \"iterations\": 1,\n"
-                 "      \"real_time\": %.1f,\n"
-                 "      \"cpu_time\": 0.0,\n"
-                 "      \"time_unit\": \"ns\",\n"
-                 "      \"label\": \"completed=%llu shed=%llu errors=%llu "
-                 "unsent=%llu qps=%.1f\"\n"
-                 "    }%s\n",
-                 prefix.c_str(), rows[i].first, prefix.c_str(),
-                 rows[i].first, rows[i].second,
-                 static_cast<unsigned long long>(summary.completed),
-                 static_cast<unsigned long long>(summary.shed),
-                 static_cast<unsigned long long>(summary.errors),
-                 static_cast<unsigned long long>(summary.unsent),
-                 summary.throughput, i + 1 < count ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  return OkStatus();
-}
-
 int RealMain(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   LoadOptions options;
   FlagParser parser(
-      "dfs_loadgen — open/closed-loop load generator for the serve "
-      "front-end (in-process server over real TCP)");
-  parser.AddString("mode",
-                   "open (fixed arrival schedule, latency from intended "
-                   "arrival) or closed (back-to-back round trips)",
-                   &options.mode);
-  parser.AddString("workload", "registered workload (see --list-workloads)",
+      "dfs_loadgen — open-loop load generator for the serve front-end "
+      "(in-process server over real TCP)");
+  parser.AddString("workload",
+                   "ping (front-end round trip) or submit (one-evaluation "
+                   "job through dispatch and the queue)",
                    &options.workload);
   parser.AddInt("connections", "concurrent keep-alive channels",
                 &options.connections);
-  parser.AddDouble("rate",
-                   "aggregate target arrival rate, requests/second "
-                   "(open mode)",
+  parser.AddDouble("rate", "aggregate target arrival rate, requests/second",
                    &options.rate);
   parser.AddInt("requests", "total requests across all channels",
                 &options.requests);
@@ -333,11 +238,6 @@ int RealMain(int argc, char** argv) {
   parser.AddInt("max-connections",
                 "accept-shed limit passed to the event loop",
                 &options.max_connections);
-  parser.AddString("json",
-                   "write a google-benchmark-compatible JSON report here",
-                   &options.json);
-  parser.AddBool("list-workloads", "list registered workloads and exit",
-                 &options.list_workloads);
   parser.AddBool("help", "print usage", &options.help);
   if (Status status = parser.Parse(argc, argv); !status.ok()) {
     std::fprintf(stderr, "%s\n\n%s", status.ToString().c_str(),
@@ -348,20 +248,10 @@ int RealMain(int argc, char** argv) {
     std::fputs(parser.Help().c_str(), stdout);
     return 0;
   }
-  if (options.list_workloads) {
-    for (const Workload& workload : kWorkloads) {
-      std::printf("%-8s %s\n", workload.name, workload.description);
-    }
-    return 0;
-  }
   const Workload* workload = FindWorkload(options.workload);
   if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload \"%s\" (see --list-workloads)\n",
+    std::fprintf(stderr, "unknown workload \"%s\" (ping or submit)\n",
                  options.workload.c_str());
-    return 1;
-  }
-  if (options.mode != "open" && options.mode != "closed") {
-    std::fprintf(stderr, "--mode must be open or closed\n");
     return 1;
   }
   if (options.connections < 1 || options.requests < 1 ||
@@ -392,14 +282,10 @@ int RealMain(int argc, char** argv) {
   const int port = frontend.port();
 
   std::printf(
-      "dfs_loadgen: epoll front-end on port %d · workload=%s mode=%s "
-      "connections=%d requests=%d%s\n",
-      port, workload->name,
-      options.mode.c_str(), options.connections, options.requests,
-      options.mode == "open"
-          ? (" rate=" + std::to_string(static_cast<int>(options.rate)))
-                .c_str()
-          : "");
+      "dfs_loadgen: epoll front-end on port %d · workload=%s "
+      "connections=%d requests=%d rate=%.0f\n",
+      port, workload->name, options.connections, options.requests,
+      options.rate);
   std::fflush(stdout);
 
   std::vector<ChannelResult> results(
@@ -449,14 +335,6 @@ int RealMain(int argc, char** argv) {
         "p999=%.3fms\n",
         summary.mean * 1e3, summary.p50 * 1e3, summary.p95 * 1e3,
         summary.p99 * 1e3, summary.p999 * 1e3);
-    if (!options.json.empty()) {
-      if (Status status = WriteJson(options, summary, options.json);
-          !status.ok()) {
-        std::fprintf(stderr, "json: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("json report written to %s\n", options.json.c_str());
-    }
     if (summary.completed == 0) {
       std::fprintf(stderr, "no requests completed\n");
       return 1;
