@@ -32,22 +32,19 @@
 #                                  # out.json (default BENCH_results.json),
 #                                  # then the end-to-end benchmark's
 #                                  # correctness smoke (bench/e2e)
-#   scripts/check.sh --lint        # static gate (no test run): dfs_lint
-#                                  # project-contract rules + their
-#                                  # self-test, then — when Clang tooling
-#                                  # is on PATH — a -DDFS_ANALYZE=ON
+#   scripts/check.sh --lint        # static gate (no test run): --analyze,
+#                                  # then — when Clang tooling is on
+#                                  # PATH — a -DDFS_ANALYZE=ON
 #                                  # thread-safety build and clang-tidy
 #                                  # over src/ (skipped with a notice on
 #                                  # GCC-only hosts)
-#   scripts/check.sh --analyze     # static contract analyses (no test
-#                                  # run): tools/dfs_analyze.py lock-order
-#                                  # / hot-alloc / determinism passes over
-#                                  # src/ + the committed docs/lock_order.dot
-#                                  # drift check + the analyzer self-test;
-#                                  # when the libclang Python bindings are
-#                                  # importable, the clang front-end runs
-#                                  # as a second leg (skipped with a
-#                                  # notice otherwise)
+#   scripts/check.sh --analyze     # static contract analyzer (no test
+#                                  # run): tools/dfs_analyze.py per-file
+#                                  # rules + lock-order / hot-alloc /
+#                                  # determinism passes over src/ and
+#                                  # tools/, the committed
+#                                  # docs/lock_order.dot drift check, and
+#                                  # the analyzer self-test
 #   scripts/check.sh --fuzz        # 80s libFuzzer smoke over the byte-level
 #                                  # decoders (tests/fuzz/): Clang-only,
 #                                  # skipped with a notice on GCC hosts
@@ -60,15 +57,21 @@
 #                                  # DFS_THREADS=4, in a plain build and
 #                                  # under TSan
 #   scripts/check.sh --all         # tier-1 + --sanitize + --docs + --lint
-#                                  # + --analyze
+#                                  # (which includes --analyze)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+run_analyze() {
+  # Pure Python, no toolchain dependency: every rule and pass over src/
+  # and tools/, the drift check of the committed lock-order artifact,
+  # and the analyzer's own fixture self-test.
+  python3 tools/dfs_analyze.py --check-dot docs/lock_order.dot
+  python3 tests/analyze/dfs_analyze_test.py
+}
+
 run_lint() {
-  # Leg 1 (always): the project-contract linter and its self-test. Pure
-  # Python, no toolchain dependency.
-  python3 tools/dfs_lint.py
-  python3 tests/lint/dfs_lint_test.py
+  # Leg 1 (always): the static contract analyzer and its self-test.
+  run_analyze
 
   # Leg 2 (Clang only): promote the DFS_GUARDED_BY/DFS_REQUIRES
   # annotations to hard errors. The attributes are no-ops under GCC, so
@@ -92,25 +95,6 @@ run_lint() {
   else
     echo "check.sh: NOTICE: clang-tidy not found; skipping the" >&2
     echo "check.sh:   .clang-tidy sweep" >&2
-  fi
-}
-
-run_analyze() {
-  # Leg 1 (always): the textual front-end — the canonical one; it
-  # generated the committed artifact, so the drift check is exact. Runs
-  # all three passes over src/ and the analyzer's own self-test.
-  python3 tools/dfs_analyze.py --check-dot docs/lock_order.dot
-  python3 tests/analyze/dfs_analyze_test.py
-
-  # Leg 2 (libclang only): the AST front-end cross-checks the textual
-  # extraction. The Python bindings rarely exist on GCC-only hosts —
-  # skipped loudly, never silently passed off as run.
-  if python3 -c "import clang.cindex" >/dev/null 2>&1; then
-    python3 tools/dfs_analyze.py --frontend clang \
-      --check-dot docs/lock_order.dot
-  else
-    echo "check.sh: NOTICE: python3 clang bindings not importable;" >&2
-    echo "check.sh:   skipping the dfs_analyze clang front-end leg" >&2
   fi
 }
 
@@ -277,7 +261,6 @@ fi
 if [[ "${1:-}" == "--all" ]]; then
   python3 scripts/check_docs.py
   run_lint
-  run_analyze
 fi
 
 echo "check.sh: OK"

@@ -11,7 +11,7 @@ namespace dfs::util {
 
 /// Annotated synchronization wrappers (DESIGN.md §2f). These are the ONLY
 /// place in src/ allowed to name std::mutex / std::condition_variable —
-/// tools/dfs_lint.py enforces the ban — so that every lock in the
+/// tools/dfs_analyze.py enforces the ban — so that every lock in the
 /// codebase is a capability the Clang thread-safety analysis can track.
 ///
 /// The wrappers add no state and no behavior over the std primitives they

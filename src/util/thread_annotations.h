@@ -25,7 +25,7 @@
 ///
 /// Only `util::Mutex` / `util::MutexLock` / `util::CondVar` (util/mutex.h)
 /// may use the capability attributes directly; everything else annotates
-/// data and functions. tools/dfs_lint.py enforces that split.
+/// data and functions. tools/dfs_analyze.py enforces that split.
 
 #if defined(__clang__) && defined(__has_attribute)
 #define DFS_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -73,7 +73,7 @@
 #define DFS_RETURN_CAPABILITY(x) DFS_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Escape hatch: disables the analysis for one function. Every use must
-/// carry an inline justification comment; tools/dfs_lint.py counts naked
+/// carry an inline justification comment; tools/dfs_analyze.py counts naked
 /// uses as violations of the exemption policy.
 #define DFS_NO_THREAD_SAFETY_ANALYSIS \
   DFS_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -1,58 +1,79 @@
 #!/usr/bin/env python3
-"""dfs_analyze — AST-level contract analyzer (scripts/check.sh --analyze).
+"""dfs_analyze — static contract analyzer (scripts/check.sh --analyze).
 
-Promotes three prose contracts from DESIGN.md into machine-checked static
-analyses over the C++ tree (DESIGN.md §2k documents what each pass proves
-and what it cannot):
+Enforces the repo-specific contracts the compiler cannot see (DESIGN.md
+§2f, §2k). Per-file rules, one per documented contract:
+
+  banned-symbol     §2d byte-identical-masks determinism: no ambient
+                    randomness (std::rand, std::random_device) and no
+                    wall-clock reads (time(), std::chrono::system_clock,
+                    clock()) outside util/rng.cc and util/stopwatch.h —
+                    everything random flows from a seeded util::Rng,
+                    everything timed from Stopwatch's steady clock. Also
+                    bans `volatile` (not a synchronization mechanism) and
+                    raw `thread_local` (per-thread state is invisible to
+                    the §2f lock discipline and the §2e scratch
+                    accounting) unless justified with
+                    '// DFS_THREAD_LOCAL_OK: <reason>'. src/linalg kernel
+                    scaffolding is exempt from both.
+  naked-mutex       All locking goes through the annotated wrappers in
+                    util/mutex.h so the Clang thread-safety analysis sees
+                    every capability: std::mutex, the std lock RAII
+                    types, std::condition_variable, std::call_once /
+                    once_flag and their headers are banned elsewhere.
+  header-guard      Every header carries its canonical include guard
+                    (DFS_<PATH>_H_) or #pragma once.
+  include-order     A .cc file includes its own header first (proves the
+                    header is self-contained); after it, <system>
+                    includes precede "project" includes.
+  dcheck-side-effect DFS_DCHECK compiles out under NDEBUG, so a mutating
+                    argument (++/--/assignment/.insert-style calls) would
+                    make Release behave differently from Debug.
+  metric-name       Every literal instrument name registered on a
+                    MetricsRegistry is documented in docs/PROTOCOL.md —
+                    the metrics namespace is wire contract.
+  naked-exemption   DFS_NO_THREAD_SAFETY_ANALYSIS needs a justification
+                    comment on the same or preceding line.
+  linalg-span       §2i kernel-layer API hygiene: linalg headers take
+                    std::span<const double> (or pointer + length), never
+                    const std::vector<double>&, so hot-path callers never
+                    materialize a copy.
+
+Whole-program passes over a call graph of the tree (§2k):
 
   lock-order        §2f mutex discipline: extracts the mutex-acquisition
                     graph from util::MutexLock scopes and DFS_REQUIRES /
-                    DFS_ACQUIRE annotations across every mutex-bearing
-                    component, reports any cycle (a potential deadlock)
-                    with both acquisition sites named, and emits the graph
-                    as docs/lock_order.dot (--write-dot / --check-dot keep
-                    the committed artifact regenerated-in-sync).
+                    DFS_ACQUIRE annotations, reports any cycle (a
+                    potential deadlock) with both acquisition sites
+                    named, and emits the graph as docs/lock_order.dot
+                    (--write-dot / --check-dot keep the committed
+                    artifact in sync).
   hot-alloc         §2e evaluation memory contract: functions annotated
-                    DFS_HOT (util/thread_annotations.h) must not reach an
-                    allocating construct — operator new, make_unique /
-                    make_shared, container push_back/insert/resize growth,
-                    std::string building — through any transitive callee.
-                    DFS_ALLOC_BOUNDARY marks a sanctioned allocating
-                    callee (e.g. TrainModel constructs the model by
-                    design); `// DFS_ALLOC_OK: <reason>` exempts a single
-                    line (amortized warm growth of reusable capacity).
-                    Both require a justification, never a bare marker.
-  determinism       §2d/§2i accumulation-order discipline:
-                      unordered-fp-order — iteration over an unordered
-                      container must not feed floating-point accumulation
-                      or selection/sequence building inside the loop
-                      (hash-order-dependent bits); `// DFS_UNORDERED_OK:
-                      <reason>` exempts a justified order-independent use.
-                      fp-accumulate — std::accumulate / std::reduce over
-                      floating-point values are banned outside
-                      src/linalg/kernels* (one canonical accumulation
-                      order; spell other reductions as explicit loops).
+                    DFS_HOT must not reach an allocating construct —
+                    operator new, make_unique / make_shared, container
+                    growth, std::string building — through any
+                    transitive callee. DFS_ALLOC_BOUNDARY marks a
+                    sanctioned allocating callee; `// DFS_ALLOC_OK:
+                    <reason>` exempts a single line.
+  determinism       §2d/§2i accumulation order: unordered-fp-order flags
+                    iteration over an unordered container that feeds
+                    floating-point accumulation or sequence building
+                    (`// DFS_UNORDERED_OK: <reason>` exempts);
+                    fp-accumulate bans std::accumulate / std::reduce over
+                    floating-point values outside src/linalg/kernels*.
 
-Front-ends (same split as scripts/check.sh --lint):
-  * textual (always available, the canonical one): a structural C++
-    extractor — comment/string stripping, brace-scope tracking, function
-    and member extraction. Deterministic on any host; docs/lock_order.dot
-    is generated by this front-end.
-  * clang (optional): the same passes fed from the real Clang AST via the
-    libclang Python bindings and build/compile_commands.json. Used when
-    `import clang.cindex` succeeds; otherwise skipped with a loud NOTICE,
-    never silently passed off as run.
+The extractor is textual (comment/literal stripping, brace-scope
+tracking, function and member extraction): dependency-free and
+deterministic on any host with Python. Every exemption marker needs a
+reason; a bare marker is itself a violation.
 
 Usage:
-  tools/dfs_analyze.py                     # all passes over src/
-  tools/dfs_analyze.py --pass lock-order   # one pass (repeatable)
+  tools/dfs_analyze.py                     # src/ and tools/ of this repo
   tools/dfs_analyze.py --root DIR          # another tree (test fixtures)
   tools/dfs_analyze.py --write-dot docs/lock_order.dot
   tools/dfs_analyze.py --check-dot docs/lock_order.dot
-  tools/dfs_analyze.py --frontend clang    # force the libclang front-end
 
-Exit status: 0 when clean, 1 when any pass reports a violation, 2 when a
-forced front-end is unavailable.
+Exit status: 0 when clean, 1 when any rule fires or the DOT is stale.
 """
 
 import argparse
@@ -65,63 +86,289 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ---------------------------------------------------------------------------
 # Source preprocessing
 
-LINE_COMMENT_RE = re.compile(r"//[^\n]*")
-BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
-STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
-CHAR_RE = re.compile(r"'(?:[^'\\\n]|\\.)*'")
+# One left-to-right scan, so whichever token starts first wins: in
+# `'"'` the quote is a char literal, and in `"/*"` the comment opener is
+# string content.
+TOKEN_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r"|(?P<string>\"(?:[^\"\\\n]|\\.)*\")"
+    r"|'(?:[^'\\\n]|\\.)*'", re.DOTALL)
 PREPROC_RE = re.compile(r"^\s*#[^\n]*", re.MULTILINE)
-
-ALLOC_OK_RE = re.compile(r"//\s*DFS_ALLOC_OK:\s*(\S.*)?$")
-UNORDERED_OK_RE = re.compile(r"//\s*DFS_UNORDERED_OK:\s*(\S.*)?$")
 
 
 def blank(match):
     return re.sub(r"[^\n]", " ", match.group(0))
 
 
+def strip(text, keep_strings=False):
+    """Blanks comments and char literals, and string literals unless
+    `keep_strings`, preserving offsets so no rule fires on prose."""
+    def replace(match):
+        if keep_strings and match.group("string"):
+            return match.group(0)
+        return blank(match)
+    return TOKEN_RE.sub(replace, text)
+
+
 def strip_code(text):
-    """Blanks comments, string/char literals, and preprocessor lines while
-    preserving offsets, so structural scans never fire on prose."""
-    text = BLOCK_COMMENT_RE.sub(blank, text)
-    text = STRING_RE.sub(blank, text)
-    text = CHAR_RE.sub(blank, text)
-    text = LINE_COMMENT_RE.sub(blank, text)
-    text = PREPROC_RE.sub(blank, text)
-    return text
+    """strip() plus preprocessor lines, for the structural scans."""
+    return PREPROC_RE.sub(blank, strip(text))
 
 
 def line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
-def exemption_lines(raw_text, marker_re):
-    """Lines carrying a justified exemption marker. A marker with no
-    justification text is itself a violation (returned separately)."""
-    justified, naked = set(), []
+class Violation:
+    def __init__(self, rel, line, rule, message):
+        self.rel = rel
+        self.line = line
+        self.rule = rule
+        self.message = message
+
+    def __str__(self):
+        return f"{self.rel}:{self.line}: [{self.rule}] {self.message}"
+
+
+def exemption_lines(rel, raw_text, marker, rule, out):
+    """Lines exempted by a justified `// <marker>: <reason>` on the same
+    or the preceding line. A marker with no reason is itself a
+    violation of `rule`."""
+    marker_re = re.compile(r"//\s*" + marker + r":\s*(\S.*)?$")
+    exempt = set()
     for number, line in enumerate(raw_text.splitlines(), start=1):
         match = marker_re.search(line)
         if not match:
             continue
         if match.group(1):
-            justified.add(number)
+            exempt.update((number, number + 1))
         else:
-            naked.append(number)
-    return justified, naked
+            out.append(Violation(
+                rel, number, rule,
+                f"{marker} without a justification — exemptions are "
+                f"allowed, silent ones are not"))
+    return exempt
 
 
 # ---------------------------------------------------------------------------
-# Facts model (shared by both front-ends)
+# Per-file rules
+
+# Files allowed to hold what the rules ban, relative to the scanned root.
+BANNED_SYMBOL_ALLOWLIST = {"util/rng.cc", "util/stopwatch.h"}
+NAKED_MUTEX_ALLOWLIST = {"util/mutex.h", "util/thread_annotations.h"}
+
+BANNED_SYMBOLS = [
+    # (human name, regex). Word boundaries keep e.g. steady_clock and
+    # Stopwatch's ElapsedSeconds out of the blast radius.
+    ("std::rand/rand()",
+     re.compile(r"(?<![\w:.])(?:std\s*::\s*)?s?rand\s*\(")),
+    ("std::random_device", re.compile(r"\brandom_device\b")),
+    ("std::chrono::system_clock", re.compile(r"\bsystem_clock\b")),
+    ("time()/std::time()",
+     re.compile(r"(?<![\w:.>])(?:std\s*::\s*)?time\s*\(")),
+    ("clock()",
+     re.compile(r"(?<![\w:.>])(?:std\s*::\s*)?clock\s*\(")),
+]
+
+
+# (rule, pattern, message, skip(rel)): fires on every stripped line the
+# pattern matches; '{}' in the message is the matched text.
+LINE_RULES = [
+    ("banned-symbol", pattern,
+     f"{name} breaks the §2d determinism contract; use util::Rng "
+     f"(seeded) or util::Stopwatch (steady clock)",
+     lambda rel: rel in BANNED_SYMBOL_ALLOWLIST)
+    for name, pattern in BANNED_SYMBOLS
+] + [
+    ("banned-symbol", re.compile(r"\bvolatile\b"),
+     "'volatile' is not a synchronization mechanism and has no place "
+     "outside src/linalg; use util::Mutex or std::atomic (§2f)",
+     lambda rel: rel.startswith("linalg/")),
+    ("naked-mutex",
+     re.compile(r"std::(mutex|timed_mutex|recursive_mutex|shared_mutex"
+                r"|shared_lock|lock_guard|unique_lock|scoped_lock"
+                r"|condition_variable|condition_variable_any|call_once"
+                r"|once_flag)\b"
+                r"|#\s*include\s*<(mutex|condition_variable"
+                r"|shared_mutex)>"),
+     "'{}' bypasses the annotated util::Mutex/MutexLock/CondVar wrappers "
+     "(util/mutex.h)", lambda rel: rel in NAKED_MUTEX_ALLOWLIST),
+    # Return types and members are by value, so the const-ref spelling
+    # only ever appears in parameter lists.
+    ("linalg-span",
+     re.compile(r"const\s+std::vector<\s*(?:double|float)\s*>\s*&"),
+     "const std::vector<double>& parameter in a linalg header — take "
+     "std::span<const double> (or pointer + length) so hot-path callers "
+     "never copy (DESIGN.md §2i)",
+     lambda rel: not (rel.startswith("linalg/") and rel.endswith(".h"))),
+]
+
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*([<"])([^>"]+)[>"]')
+METRIC_CALL_RE = re.compile(r"\.(counter|gauge|histogram)\(\s*\"([^\"]+)\"")
+DCHECK_RE = re.compile(r"\bDFS_DCHECK\s*\(")
+# Mutations inside a DCHECK argument: ++ / -- / plain assignment (not a
+# comparison) / well-known mutating member calls.
+DCHECK_MUTATION_RE = re.compile(
+    r"\+\+|--|(?<![=!<>+\-*/%&|^])=(?![=])"
+    r"|\.(push_back|emplace|emplace_back|insert|erase|pop_back|clear"
+    r"|reset|release|store|fetch_add|fetch_sub)\s*\(")
+EXEMPTION_RE = re.compile(r"\bDFS_NO_THREAD_SAFETY_ANALYSIS\b")
+
+
+def guard_for(rel):
+    """Canonical include-guard name: src/core/engine.h -> DFS_CORE_ENGINE_H_
+    (rel is relative to the scanned root, which stands in for src/)."""
+    stem = re.sub(r"\.h$", "", rel)
+    return "DFS_" + re.sub(r"[^A-Za-z0-9]", "_", stem).upper() + "_H_"
+
+
+def check_header_guard(rel, code, out):
+    if not rel.endswith(".h") or re.search(r"#\s*pragma\s+once\b", code):
+        return
+    guard = guard_for(rel)
+    if re.search(r"#\s*ifndef\s+" + re.escape(guard), code) and \
+            re.search(r"#\s*define\s+" + re.escape(guard), code):
+        return
+    out.append(Violation(
+        rel, 1, "header-guard",
+        f"missing '#pragma once' or canonical guard '{guard}'"))
+
+
+def check_include_order(root, rel, code_with_strings, out):
+    if not rel.endswith(".cc"):
+        return
+    includes = []  # (line number, kind, path)
+    for number, line in enumerate(code_with_strings.splitlines(), start=1):
+        match = INCLUDE_RE.match(line)
+        if match:
+            kind = "system" if match.group(1) == "<" else "project"
+            includes.append((number, kind, match.group(2)))
+    if not includes:
+        return
+    own_header = re.sub(r"\.cc$", ".h", rel)
+    rest = includes
+    if os.path.exists(os.path.join(root, own_header)):
+        if includes[0][1] != "project" or includes[0][2] != own_header:
+            out.append(Violation(
+                rel, includes[0][0], "include-order",
+                f"first include must be the file's own header "
+                f"\"{own_header}\" (proves it is self-contained)"))
+            return
+        rest = includes[1:]
+    seen_project = None
+    for number, kind, path in rest:
+        if kind == "project":
+            seen_project = path
+        elif seen_project is not None:
+            out.append(Violation(
+                rel, number, "include-order",
+                f"<{path}> after \"{seen_project}\" — system includes "
+                f"precede project includes"))
+            return
+
+
+def balanced_argument(code, start):
+    """The parenthesized argument opening at `start`, or None if
+    unbalanced."""
+    depth = 0
+    for i in range(start, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return code[start + 1:i]
+    return None
+
+
+def check_dcheck_side_effects(rel, code, out):
+    for match in DCHECK_RE.finditer(code):
+        arg = balanced_argument(code, match.end() - 1)
+        mutation = arg and DCHECK_MUTATION_RE.search(arg)
+        if mutation:
+            out.append(Violation(
+                rel, line_of(code, match.start()), "dcheck-side-effect",
+                f"DFS_DCHECK argument contains "
+                f"'{mutation.group(0).strip()}' — DCHECK compiles out "
+                f"under NDEBUG, so side effects change Release behavior"))
+
+
+def check_metric_names(rel, code_with_strings, protocol_text, documented,
+                       out):
+    for match in METRIC_CALL_RE.finditer(code_with_strings):
+        name = match.group(2)
+        if name.endswith("."):
+            # A dynamic name built by concatenation ("strategy." + label)
+            # is documented with a placeholder: strategy.<label>.evaluations.
+            if name + "<" in protocol_text:
+                continue
+        elif name in documented:
+            continue
+        out.append(Violation(
+            rel, line_of(code_with_strings, match.start()), "metric-name",
+            f"instrument '{name}' is not documented in docs/PROTOCOL.md "
+            f"(the metrics namespace is wire contract, same policy as "
+            f"DFS_* env knobs)"))
+
+
+def check_naked_exemptions(rel, raw, code_lines, out):
+    if rel in NAKED_MUTEX_ALLOWLIST:
+        return  # the macro's own definition and docs
+    lines = raw.splitlines()
+    for index, line in enumerate(code_lines):
+        if not EXEMPTION_RE.search(line):
+            continue
+        here = "//" in lines[index]
+        above = index > 0 and lines[index - 1].lstrip().startswith("//")
+        if not here and not above:
+            out.append(Violation(
+                rel, index + 1, "naked-exemption",
+                "DFS_NO_THREAD_SAFETY_ANALYSIS without a justification "
+                "comment on this or the preceding line"))
+
+
+def per_file_rules(root, rel, raw, protocol_text, documented, out):
+    code = strip(raw)
+    code_lines = code.splitlines()
+    code_with_strings = strip(raw, keep_strings=True)
+    rules = [rule for rule in LINE_RULES if not rule[3](rel)]
+    for number, line in enumerate(code_lines, start=1):
+        for rule, pattern, message, _skip in rules:
+            match = pattern.search(line)
+            if match:
+                out.append(Violation(rel, number, rule,
+                                     message.format(match.group(0).strip())))
+    if not rel.startswith("linalg/"):
+        exempt = exemption_lines(rel, raw, "DFS_THREAD_LOCAL_OK",
+                                 "banned-symbol", out)
+        for number, line in enumerate(code_lines, start=1):
+            if THREAD_LOCAL_RE.search(line) and number not in exempt:
+                out.append(Violation(
+                    rel, number, "banned-symbol",
+                    "raw thread_local — per-thread state bypasses the §2f "
+                    "lock discipline and the §2e scratch accounting; "
+                    "justify with '// DFS_THREAD_LOCAL_OK: <reason>' on "
+                    "this or the preceding line"))
+    check_header_guard(rel, code, out)
+    check_include_order(root, rel, code_with_strings, out)
+    check_dcheck_side_effects(rel, code, out)
+    check_metric_names(rel, code_with_strings, protocol_text, documented,
+                       out)
+    check_naked_exemptions(rel, raw, code_lines, out)
+
+
+# ---------------------------------------------------------------------------
+# Facts model
 
 class Function:
-    def __init__(self, cls, name, rel, start, end, header, body):
+    def __init__(self, cls, name, rel, header, body):
         self.cls = cls          # enclosing class name ('' for free functions)
         self.name = name
         self.rel = rel          # file, relative to the scanned root
-        self.start = start      # char offset of body '{' in stripped text
-        self.end = end          # char offset past body '}'
         self.header = header    # signature text (annotations included)
         self.body = body        # stripped body text (offsets match file)
-        self.line = 0
+        self.line = 0           # line of the body's '{'
         self.acquisitions = []  # [(mutex_id, pos, line, scope_end)]
         self.requires = []      # mutex ids from DFS_REQUIRES
         self.acquire_annot = []  # mutex ids from DFS_ACQUIRE
@@ -140,7 +387,7 @@ class Function:
 
 
 class Facts:
-    """Everything the passes need, front-end independent."""
+    """Everything the whole-program passes need."""
 
     def __init__(self):
         self.functions = []           # [Function]
@@ -153,14 +400,6 @@ class Facts:
         self.requires_decls = {}      # (class, name) -> [mutex expr]
         self.acquire_decls = {}       # (class, name) -> [mutex expr]
         self.files = {}               # rel -> (raw text, stripped text)
-
-    def functions_named(self, name, cls=None):
-        if cls is not None:
-            exact = [f for f in self.functions
-                     if f.name == name and f.cls == cls]
-            if exact:
-                return exact
-        return [f for f in self.functions if f.name == name]
 
     def ancestors(self, cls):
         """Transitive base classes of `cls` (by short name)."""
@@ -188,19 +427,8 @@ class Facts:
         return result
 
 
-class Violation:
-    def __init__(self, rel, line, rule, message):
-        self.rel = rel
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.rel}:{self.line}: [{self.rule}] {self.message}"
-
-
 # ---------------------------------------------------------------------------
-# Textual front-end: structural C++ extraction
+# Extraction: structural C++ scan
 
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "do", "else", "try",
                     "catch", "return", "sizeof", "alignof", "decltype",
@@ -308,400 +536,284 @@ def _mask_parens(text):
     return "".join(out)
 
 
-class TextualFrontend:
-    """Brace-scope scanner producing the Facts model."""
+def extract(files):
+    """Brace-scope scan of [(root, rel, raw)] into the Facts model."""
+    facts = Facts()
+    for _root, rel, raw in files:
+        stripped = strip_code(raw)
+        facts.files[rel] = (raw, stripped)
+        _scan_file(rel, stripped, facts)
+    _scan_declarations(facts)
+    for function in facts.functions:
+        _scan_body(function)
+    return facts
 
-    name = "textual"
 
-    def extract(self, files):
-        facts = Facts()
-        for rel, raw in files:
-            stripped = strip_code(raw)
-            facts.files[rel] = (raw, stripped)
-            self._scan_file(rel, stripped, facts)
-        self._scan_declarations(facts)
-        for function in facts.functions:
-            self._scan_body(function)
-        return facts
+# -- structure -------------------------------------------------------------
 
-    # -- structure ---------------------------------------------------------
+def _scan_file(rel, code, facts):
+    # Scope stack entries: (kind, name, open_pos). kind in
+    # {namespace, class, function, block}.
+    stack = []
+    stmt_start = 0
+    pos = 0
+    paren_depth = 0
+    length = len(code)
+    while pos < length:
+        ch = code[pos]
+        if ch == "(":
+            paren_depth += 1
+        elif ch == ")":
+            paren_depth = max(0, paren_depth - 1)
+        elif ch == ";" and paren_depth == 0:
+            stmt_start = pos + 1
+        elif ch == "{" and paren_depth == 0:
+            header = code[stmt_start:pos]
+            kind, name = _classify(header, stack)
+            if kind == "class":
+                _record_bases(name, header, facts)
+            stack.append((kind, name, pos, header))
+            stmt_start = pos + 1
+        elif ch == "{":
+            # Brace inside an unbalanced paren context (lambda passed
+            # as an argument). Treat as a block; the paren depth is
+            # carried across it.
+            stack.append(("block", "", pos, ""))
+            stmt_start = pos + 1
+        elif ch == "}":
+            if stack:
+                kind, name, open_pos, header = stack.pop()
+                if kind == "class" and name:
+                    body = code[open_pos + 1:pos]
+                    _scan_class_body(name, body, facts)
+                elif kind == "function":
+                    cls, fname = name
+                    function = Function(cls or "", fname, rel, header,
+                                        code[open_pos + 1:pos])
+                    function.line = line_of(code, open_pos)
+                    _annotate_from_header(function, header)
+                    facts.functions.append(function)
+            stmt_start = pos + 1
+        pos += 1
 
-    def _scan_file(self, rel, code, facts):
-        # Scope stack entries: (kind, name, open_pos). kind in
-        # {namespace, class, function, block}.
-        stack = []
-        stmt_start = 0
-        pos = 0
-        paren_depth = 0
-        length = len(code)
-        while pos < length:
-            ch = code[pos]
-            if ch == "(":
-                paren_depth += 1
-            elif ch == ")":
-                paren_depth = max(0, paren_depth - 1)
-            elif ch == ";" and paren_depth == 0:
-                stmt_start = pos + 1
-            elif ch == "{" and paren_depth == 0:
-                header = code[stmt_start:pos]
-                kind, name = self._classify(header, stack)
-                if kind == "class":
-                    self._record_bases(name, header, facts)
-                stack.append((kind, name, pos, header))
-                stmt_start = pos + 1
-            elif ch == "{":
-                # Brace inside an unbalanced paren context (lambda passed
-                # as an argument). Treat as a block; the paren depth is
-                # carried across it.
-                stack.append(("block", "", pos, ""))
-                stmt_start = pos + 1
-            elif ch == "}":
-                if stack:
-                    kind, name, open_pos, header = stack.pop()
-                    if kind == "class" and name:
-                        body = code[open_pos + 1:pos]
-                        self._scan_class_body(name, body, facts)
-                    elif kind == "function":
-                        cls, fname = name
-                        function = Function(cls or "", fname, rel,
-                                            open_pos, pos + 1, header,
-                                            code[open_pos + 1:pos])
-                        function.line = line_of(code, open_pos)
-                        self._annotate_from_header(function, header)
-                        facts.functions.append(function)
-                stmt_start = pos + 1
-            pos += 1
 
-    def _record_bases(self, cls, header, facts):
-        """Base-class names from a class header's base clause. Each
-        comma-separated base contributes its last identifier (namespaces
-        and template arguments stripped)."""
-        masked = _mask_parens(header)
-        keyword = re.search(r"\b(?:class|struct)\b", masked)
-        if not keyword:
-            return
-        tail = masked[keyword.end():]
-        colon = re.search(r"(?<!:):(?!:)", tail)
-        if not colon:
-            return
-        bases = set()
-        for chunk in tail[colon.end():].split(","):
-            chunk = re.sub(r"<[^<>]*>", " ", chunk)
-            chunk = re.sub(r"\b(?:public|private|protected|virtual"
-                           r"|final)\b", " ", chunk)
-            names = re.findall(r"[A-Za-z_]\w*", chunk)
-            if names:
-                bases.add(names[-1])
-        if bases:
-            facts.class_bases.setdefault(cls, set()).update(bases)
+def _record_bases(cls, header, facts):
+    """Base-class names from a class header's base clause. Each
+    comma-separated base contributes its last identifier (namespaces
+    and template arguments stripped)."""
+    masked = _mask_parens(header)
+    keyword = re.search(r"\b(?:class|struct)\b", masked)
+    if not keyword:
+        return
+    tail = masked[keyword.end():]
+    colon = re.search(r"(?<!:):(?!:)", tail)
+    if not colon:
+        return
+    bases = set()
+    for chunk in tail[colon.end():].split(","):
+        chunk = re.sub(r"<[^<>]*>", " ", chunk)
+        chunk = re.sub(r"\b(?:public|private|protected|virtual"
+                       r"|final)\b", " ", chunk)
+        names = re.findall(r"[A-Za-z_]\w*", chunk)
+        if names:
+            bases.add(names[-1])
+    if bases:
+        facts.class_bases.setdefault(cls, set()).update(bases)
 
-    def _classify(self, header, stack):
-        in_function = any(kind == "function" for kind, *_ in stack)
-        tail = header.strip()
-        ns = NAMESPACE_HEADER_RE.search(tail)
-        if ns and not in_function:
-            return ("namespace", ns.group(1), )
-        if ENUM_HEADER_RE.search(_mask_parens(tail)) and "(" not in tail:
-            return ("block", "")
-        cls = CLASS_HEADER_RE.search(_mask_parens(tail))
-        if cls and not in_function:
-            name = _scope_name_from_class_header(cls.group(0))
-            if name:
-                return ("class", name)
-        if not in_function:
-            fn = _function_from_header(tail)
-            if fn:
-                cls_qual, fname = fn
-                if cls_qual is None:
-                    # Method defined inside a class body: inherit the
-                    # enclosing class.
-                    enclosing = [n for k, n, *_ in stack if k == "class"]
-                    cls_qual = enclosing[-1] if enclosing else ""
-                first = _mask_parens(tail).split("(")[0]
-                if not re.search(r"\b(?:if|for|while|switch|catch)\b",
-                                 first):
-                    return ("function", (cls_qual, fname))
+
+def _classify(header, stack):
+    in_function = any(kind == "function" for kind, *_ in stack)
+    tail = header.strip()
+    ns = NAMESPACE_HEADER_RE.search(tail)
+    if ns and not in_function:
+        return ("namespace", ns.group(1), )
+    if ENUM_HEADER_RE.search(_mask_parens(tail)) and "(" not in tail:
         return ("block", "")
+    cls = CLASS_HEADER_RE.search(_mask_parens(tail))
+    if cls and not in_function:
+        name = _scope_name_from_class_header(cls.group(0))
+        if name:
+            return ("class", name)
+    if not in_function:
+        fn = _function_from_header(tail)
+        if fn:
+            cls_qual, fname = fn
+            if cls_qual is None:
+                # Method defined inside a class body: inherit the
+                # enclosing class.
+                enclosing = [n for k, n, *_ in stack if k == "class"]
+                cls_qual = enclosing[-1] if enclosing else ""
+            first = _mask_parens(tail).split("(")[0]
+            if not re.search(r"\b(?:if|for|while|switch|catch)\b",
+                             first):
+                return ("function", (cls_qual, fname))
+    return ("block", "")
 
-    # -- class bodies ------------------------------------------------------
 
-    def _scan_class_body(self, cls, body, facts):
-        # Blank nested brace groups so member scans see only this class's
-        # own declarations (nested classes were already scanned when their
-        # closing brace popped).
-        masked = []
-        depth = 0
-        for ch in body:
-            if ch == "{":
-                depth += 1
-                masked.append(" ")
-            elif ch == "}":
-                depth = max(0, depth - 1)
-                masked.append(" ")
+# -- class bodies ----------------------------------------------------------
+
+def _scan_class_body(cls, body, facts):
+    # Blank nested brace groups so member scans see only this class's
+    # own declarations (nested classes were already scanned when their
+    # closing brace popped).
+    masked = []
+    depth = 0
+    for ch in body:
+        if ch == "{":
+            depth += 1
+            masked.append(" ")
+        elif ch == "}":
+            depth = max(0, depth - 1)
+            masked.append(" ")
+        else:
+            masked.append(ch if depth == 0 else
+                          (" " if ch != "\n" else ch))
+    for statement in re.split(r"[;]", "".join(masked)):
+        mutex = MUTEX_MEMBER_RE.search(statement.strip())
+        if mutex and "MutexLock" not in statement:
+            facts.mutex_members.setdefault(cls, set()).add(
+                mutex.group(1))
+        if UNORDERED_DECL_RE.search(statement):
+            member = re.search(r">\s+(\w+)\s*(?:DFS_GUARDED_BY"
+                               r"\([^)]*\))?\s*(?:\{[^}]*\})?\s*$",
+                               statement)
+            if member:
+                facts.unordered_members.setdefault(cls, set()).add(
+                    member.group(1))
+        _record_member_type(cls, statement, facts)
+
+
+def _record_member_type(cls, statement, facts):
+    """Member name -> declared type, for receiver-call resolution."""
+    stmt = statement.strip()
+    stmt = re.sub(r"\bDFS_[A-Z_]+\s*\([^)]*\)", " ", stmt)
+    stmt = re.sub(r"\bDFS_[A-Z_]+\b", " ", stmt)
+    if "(" in stmt or ")" in stmt:
+        return  # method declaration, not a data member
+    stmt = re.sub(r"=.*$", " ", stmt, flags=re.DOTALL)
+    match = re.match(
+        r"(?:mutable\s+|static\s+|constexpr\s+|inline\s+|const\s+)*"
+        r"(.+?)\s+(\w+)(?:\s*\[[^\]]*\])?\s*$", stmt.strip(),
+        re.DOTALL)
+    if match:
+        facts.member_types.setdefault(cls, {})[match.group(2)] = \
+            match.group(1)
+
+
+# -- declarations (annotations on prototypes) ------------------------------
+
+def _scan_declarations(facts):
+    for rel, (raw, stripped) in facts.files.items():
+        for match in DECL_LEADING_RE.finditer(stripped):
+            cls = _enclosing_class(stripped, match.start())
+            key = (cls, match.group("name"))
+            if match.group("macro") == "DFS_HOT":
+                facts.hot_decls.add(key)
             else:
-                masked.append(ch if depth == 0 else
-                              (" " if ch != "\n" else ch))
-        for statement in re.split(r"[;]", "".join(masked)):
-            mutex = MUTEX_MEMBER_RE.search(statement.strip())
-            if mutex and "MutexLock" not in statement:
-                facts.mutex_members.setdefault(cls, set()).add(
-                    mutex.group(1))
-            if UNORDERED_DECL_RE.search(statement):
-                member = re.search(r">\s+(\w+)\s*(?:DFS_GUARDED_BY"
-                                   r"\([^)]*\))?\s*(?:\{[^}]*\})?\s*$",
-                                   statement)
-                if member:
-                    facts.unordered_members.setdefault(cls, set()).add(
-                        member.group(1))
-            self._record_member_type(cls, statement, facts)
-
-    def _record_member_type(self, cls, statement, facts):
-        """Member name -> declared type, for receiver-call resolution."""
-        stmt = statement.strip()
-        stmt = re.sub(r"\bDFS_[A-Z_]+\s*\([^)]*\)", " ", stmt)
-        stmt = re.sub(r"\bDFS_[A-Z_]+\b", " ", stmt)
-        if "(" in stmt or ")" in stmt:
-            return  # method declaration, not a data member
-        stmt = re.sub(r"=.*$", " ", stmt, flags=re.DOTALL)
-        match = re.match(
-            r"(?:mutable\s+|static\s+|constexpr\s+|inline\s+|const\s+)*"
-            r"(.+?)\s+(\w+)(?:\s*\[[^\]]*\])?\s*$", stmt.strip(),
-            re.DOTALL)
-        if match:
-            facts.member_types.setdefault(cls, {})[match.group(2)] = \
-                match.group(1)
-
-    # -- declarations (annotations on prototypes) --------------------------
-
-    def _scan_declarations(self, facts):
-        for rel, (raw, stripped) in facts.files.items():
-            for match in DECL_LEADING_RE.finditer(stripped):
-                cls = self._enclosing_class(stripped, match.start())
-                key = (cls, match.group("name"))
-                if match.group("macro") == "DFS_HOT":
-                    facts.hot_decls.add(key)
-                else:
-                    facts.boundary_decls.add(key)
-            for match in DECL_ANNOT_RE.finditer(stripped):
-                annots = match.group("annots")
-                name = match.group("name")
-                cls = self._enclosing_class(stripped, match.start())
-                key = (cls, name)
-                if re.search(r"\bDFS_HOT\b", annots):
-                    facts.hot_decls.add(key)
-                if re.search(r"\bDFS_ALLOC_BOUNDARY\b", annots):
-                    facts.boundary_decls.add(key)
-                for req in re.finditer(r"\bDFS_REQUIRES\s*\(([^)]*)\)",
-                                       annots):
-                    facts.requires_decls.setdefault(key, []).extend(
-                        part.strip() for part in req.group(1).split(","))
-                for acq in re.finditer(r"\bDFS_ACQUIRE\s*\(([^)]*)\)",
-                                       annots):
-                    facts.acquire_decls.setdefault(key, []).extend(
-                        part.strip() for part in acq.group(1).split(","))
-
-    def _enclosing_class(self, code, pos):
-        """Innermost class scope containing `pos` (re-scan; cheap enough
-        for the handful of annotated declarations)."""
-        stack = []
-        paren = 0
-        stmt_start = 0
-        for i, ch in enumerate(code[:pos]):
-            if ch == "(":
-                paren += 1
-            elif ch == ")":
-                paren = max(0, paren - 1)
-            elif ch == ";" and paren == 0:
-                stmt_start = i + 1
-            elif ch == "{":
-                header = code[stmt_start:i] if paren == 0 else ""
-                cls = CLASS_HEADER_RE.search(_mask_parens(header.strip()))
-                if cls and paren == 0:
-                    stack.append(_scope_name_from_class_header(
-                        cls.group(0)))
-                else:
-                    stack.append(None)
-                stmt_start = i + 1
-            elif ch == "}":
-                if stack:
-                    stack.pop()
-                stmt_start = i + 1
-        for name in reversed(stack):
-            if name:
-                return name
-        return ""
-
-    # -- function bodies ---------------------------------------------------
-
-    def _annotate_from_header(self, function, header):
-        if re.search(r"\bDFS_HOT\b", header):
-            function.hot = True
-        if re.search(r"\bDFS_ALLOC_BOUNDARY\b", header):
-            function.alloc_boundary = True
-        for req in re.finditer(r"\bDFS_REQUIRES\s*\(([^)]*)\)", header):
-            function.requires.extend(
-                part.strip() for part in req.group(1).split(","))
-        for acq in re.finditer(r"\bDFS_ACQUIRE\s*\(([^)]*)\)", header):
-            function.acquire_annot.extend(
-                part.strip() for part in acq.group(1).split(","))
-
-    def _scan_body(self, function):
-        body = function.body
-        base = function.start + 1
-        # Block structure (for acquisition scopes).
-        opens = []
-        depth_pairs = []
-        for i, ch in enumerate(body):
-            if ch == "{":
-                opens.append(i)
-            elif ch == "}" and opens:
-                depth_pairs.append((opens.pop(), i))
-        function.blocks = depth_pairs
-        for match in MUTEXLOCK_RE.finditer(body):
-            pos = match.start()
-            scope_end = len(body)
-            for open_pos, close_pos in depth_pairs:
-                if open_pos < pos < close_pos and close_pos < scope_end:
-                    scope_end = close_pos
-            function.acquisitions.append(
-                (match.group(1).strip(), pos,
-                 line_of(body, pos) + function.line - 1, scope_end))
-        for match in CALL_RE.finditer(body):
+                facts.boundary_decls.add(key)
+        for match in DECL_ANNOT_RE.finditer(stripped):
+            annots = match.group("annots")
             name = match.group("name")
-            if name in NON_CALL_NAMES:
-                continue
-            quals = re.findall(r"\w+", match.group("quals") or "")
-            if quals and quals[0] == "std":
-                continue
-            recv = match.group("recv")
-            recv_name = None
-            if recv:
-                recv_name = re.match(r"\s*([A-Za-z_]\w*)", recv).group(1)
-            elif quals:
-                recv_name = "::".join(quals)
-            pos = match.start("name")
-            function.calls.append(
-                (recv_name, name, pos,
-                 line_of(body, pos) + function.line - 1))
+            cls = _enclosing_class(stripped, match.start())
+            key = (cls, name)
+            if re.search(r"\bDFS_HOT\b", annots):
+                facts.hot_decls.add(key)
+            if re.search(r"\bDFS_ALLOC_BOUNDARY\b", annots):
+                facts.boundary_decls.add(key)
+            for req in re.finditer(r"\bDFS_REQUIRES\s*\(([^)]*)\)",
+                                   annots):
+                facts.requires_decls.setdefault(key, []).extend(
+                    part.strip() for part in req.group(1).split(","))
+            for acq in re.finditer(r"\bDFS_ACQUIRE\s*\(([^)]*)\)",
+                                   annots):
+                facts.acquire_decls.setdefault(key, []).extend(
+                    part.strip() for part in acq.group(1).split(","))
 
 
-# ---------------------------------------------------------------------------
-# Clang front-end (libclang Python bindings). Optional: the textual
-# front-end is canonical; this one cross-checks with real AST fidelity
-# when the bindings are installed.
-
-class FrontendUnavailable(Exception):
-    pass
-
-
-class ClangFrontend:
-    name = "clang"
-
-    def __init__(self, compile_commands_dir):
-        try:
-            import clang.cindex as cindex  # noqa: F401
-        except ImportError as error:
-            raise FrontendUnavailable(
-                "python3 clang bindings not importable: %s" % error)
-        self.cindex = cindex
-        try:
-            self.index = cindex.Index.create()
-        except Exception as error:  # LibclangError: no libclang.so
-            raise FrontendUnavailable("libclang not loadable: %s" % error)
-        self.compile_commands_dir = compile_commands_dir
-
-    def extract(self, files):
-        cindex = self.cindex
-        facts = Facts()
-        args = ["-std=c++20", "-I" + os.path.join(REPO, "src")]
-        database = None
-        if self.compile_commands_dir and os.path.exists(
-                os.path.join(self.compile_commands_dir,
-                             "compile_commands.json")):
-            try:
-                database = cindex.CompilationDatabase.fromDirectory(
-                    self.compile_commands_dir)
-            except Exception:
-                database = None
-        for rel, raw in files:
-            facts.files[rel] = (raw, strip_code(raw))
-        textual = TextualFrontend()
-        for rel, raw in files:
-            path = rel if os.path.isabs(rel) else rel
-            file_args = list(args)
-            if database is not None:
-                commands = database.getCompileCommands(path)
-                if commands:
-                    file_args = [a for a in list(commands[0].arguments)[1:-1]
-                                 if a != "-c" and a != "-o"]
-            try:
-                tu = self.index.parse(path, args=file_args,
-                                      unsaved_files=[(path, raw)])
-            except Exception as error:
-                raise FrontendUnavailable(
-                    "libclang failed to parse %s: %s" % (rel, error))
-            self._walk(tu.cursor, rel, raw, facts)
-        # Annotations that libclang does not surface as cursors (the
-        # thread-safety attributes) are read textually, same scanner.
-        textual._scan_declarations(facts)
-        for function in facts.functions:
-            textual._annotate_from_header(function, function.header)
-            textual._scan_body(function)
-        return facts
-
-    def _walk(self, cursor, rel, raw, facts):
-        cindex = self.cindex
-        kinds = cindex.CursorKind
-        for child in cursor.get_children():
-            location = child.location
-            in_file = (location.file is not None
-                       and os.path.basename(str(location.file)) ==
-                       os.path.basename(rel))
-            if child.kind in (kinds.NAMESPACE, kinds.CLASS_DECL,
-                              kinds.STRUCT_DECL, kinds.CLASS_TEMPLATE):
-                if child.kind != kinds.NAMESPACE and in_file:
-                    cls = child.spelling
-                    for member in child.get_children():
-                        if member.kind == kinds.FIELD_DECL:
-                            type_name = member.type.spelling
-                            if "Mutex" in type_name and \
-                                    "MutexLock" not in type_name:
-                                facts.mutex_members.setdefault(
-                                    cls, set()).add(member.spelling)
-                            if "unordered_" in type_name:
-                                facts.unordered_members.setdefault(
-                                    cls, set()).add(member.spelling)
-                self._walk(child, rel, raw, facts)
-            elif child.kind in (kinds.CXX_METHOD, kinds.FUNCTION_DECL,
-                                kinds.CONSTRUCTOR, kinds.DESTRUCTOR):
-                if not child.is_definition() or not in_file:
-                    continue
-                extent = child.extent
-                start = self._offset(raw, extent.start)
-                end = self._offset(raw, extent.end)
-                text = strip_code(raw)[start:end]
-                brace = text.find("{")
-                if brace < 0:
-                    continue
-                cls = ""
-                parent = child.semantic_parent
-                if parent is not None and parent.kind in (
-                        kinds.CLASS_DECL, kinds.STRUCT_DECL,
-                        kinds.CLASS_TEMPLATE):
-                    cls = parent.spelling
-                function = Function(cls, child.spelling, rel,
-                                    start + brace, end,
-                                    text[:brace], text[brace + 1:-1])
-                function.line = extent.start.line
-                facts.functions.append(function)
+def _enclosing_class(code, pos):
+    """Innermost class scope containing `pos` (re-scan; cheap enough
+    for the handful of annotated declarations)."""
+    stack = []
+    paren = 0
+    stmt_start = 0
+    for i, ch in enumerate(code[:pos]):
+        if ch == "(":
+            paren += 1
+        elif ch == ")":
+            paren = max(0, paren - 1)
+        elif ch == ";" and paren == 0:
+            stmt_start = i + 1
+        elif ch == "{":
+            header = code[stmt_start:i] if paren == 0 else ""
+            cls = CLASS_HEADER_RE.search(_mask_parens(header.strip()))
+            if cls and paren == 0:
+                stack.append(_scope_name_from_class_header(
+                    cls.group(0)))
             else:
-                self._walk(child, rel, raw, facts)
+                stack.append(None)
+            stmt_start = i + 1
+        elif ch == "}":
+            if stack:
+                stack.pop()
+            stmt_start = i + 1
+    for name in reversed(stack):
+        if name:
+            return name
+    return ""
 
-    @staticmethod
-    def _offset(raw, location):
-        lines = raw.splitlines(keepends=True)
-        return sum(len(l) for l in lines[:location.line - 1]) + \
-            location.column - 1
+
+# -- function bodies -------------------------------------------------------
+
+def _annotate_from_header(function, header):
+    if re.search(r"\bDFS_HOT\b", header):
+        function.hot = True
+    if re.search(r"\bDFS_ALLOC_BOUNDARY\b", header):
+        function.alloc_boundary = True
+    for req in re.finditer(r"\bDFS_REQUIRES\s*\(([^)]*)\)", header):
+        function.requires.extend(
+            part.strip() for part in req.group(1).split(","))
+    for acq in re.finditer(r"\bDFS_ACQUIRE\s*\(([^)]*)\)", header):
+        function.acquire_annot.extend(
+            part.strip() for part in acq.group(1).split(","))
+
+
+def _scan_body(function):
+    body = function.body
+    # Block structure (for acquisition scopes).
+    opens = []
+    depth_pairs = []
+    for i, ch in enumerate(body):
+        if ch == "{":
+            opens.append(i)
+        elif ch == "}" and opens:
+            depth_pairs.append((opens.pop(), i))
+    function.blocks = depth_pairs
+    for match in MUTEXLOCK_RE.finditer(body):
+        pos = match.start()
+        scope_end = len(body)
+        for open_pos, close_pos in depth_pairs:
+            if open_pos < pos < close_pos and close_pos < scope_end:
+                scope_end = close_pos
+        function.acquisitions.append(
+            (match.group(1).strip(), pos,
+             line_of(body, pos) + function.line - 1, scope_end))
+    for match in CALL_RE.finditer(body):
+        name = match.group("name")
+        if name in NON_CALL_NAMES:
+            continue
+        quals = re.findall(r"\w+", match.group("quals") or "")
+        if quals and quals[0] == "std":
+            continue
+        recv = match.group("recv")
+        recv_name = None
+        if recv:
+            recv_name = re.match(r"\s*([A-Za-z_]\w*)", recv).group(1)
+        elif quals:
+            recv_name = "::".join(quals)
+        pos = match.start("name")
+        function.calls.append(
+            (recv_name, name, pos,
+             line_of(body, pos) + function.line - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,25 +1191,17 @@ def hot_alloc_pass(facts, out):
     # Pre-scan every function for allocating constructs (line exemptions
     # applied here so the walk only sees unjustified sites).
     alloc_sites = {}
-    naked_markers = []
-    exempt_by_file = {}
-    for rel, (raw, _stripped) in facts.files.items():
-        justified, naked = exemption_lines(raw, ALLOC_OK_RE)
-        exempt_by_file[rel] = justified
-        for line in naked:
-            naked_markers.append(Violation(
-                rel, line, "hot-alloc",
-                "DFS_ALLOC_OK without a justification — exemptions are "
-                "allowed, silent ones are not"))
-    out.extend(naked_markers)
+    exempt_by_file = {
+        rel: exemption_lines(rel, raw, "DFS_ALLOC_OK", "hot-alloc", out)
+        for rel, (raw, _stripped) in facts.files.items()}
     for function in facts.functions:
         sites = []
-        justified = exempt_by_file.get(function.rel, set())
+        exempt = exempt_by_file[function.rel]
         for label, pattern in ALLOC_CONSTRUCTS:
             for match in pattern.finditer(function.body):
                 line = line_of(function.body, match.start()) + \
                     function.line - 1
-                if line in justified or (line - 1) in justified:
+                if line in exempt:
                     continue
                 sites.append((label, line))
         if sites:
@@ -1221,10 +1325,13 @@ def unordered_locals(function):
     return names
 
 
-def determinism_pass(facts, roots, out):
+def determinism_pass(facts, out):
+    exempt_by_file = {
+        rel: exemption_lines(rel, raw, "DFS_UNORDERED_OK",
+                             "unordered-fp-order", out)
+        for rel, (raw, _stripped) in facts.files.items()}
     for function in facts.functions:
-        raw, _stripped = facts.files[function.rel]
-        justified, naked = exemption_lines(raw, UNORDERED_OK_RE)
+        exempt = exempt_by_file[function.rel]
         local_unordered = unordered_locals(function)
         member_unordered = facts.unordered_members.get(function.cls, set())
         for _decl, expr, body_start, body_end, head_pos in \
@@ -1248,7 +1355,7 @@ def determinism_pass(facts, roots, out):
                 continue
             body = function.body[body_start:body_end]
             line = line_of(function.body, head_pos) + function.line - 1
-            if line in justified or (line - 1) in justified:
+            if line in exempt:
                 continue
             offenses = []
             for compound in COMPOUND_RE.finditer(body):
@@ -1270,10 +1377,6 @@ def determinism_pass(facts, roots, out):
                     f"break the §2d determinism contract (iterate a "
                     f"sorted copy, or justify with '// DFS_UNORDERED_OK: "
                     f"<reason>')"))
-        for line in naked:
-            out.append(Violation(
-                function.rel, line, "unordered-fp-order",
-                "DFS_UNORDERED_OK without a justification"))
 
     for rel, (raw, stripped) in facts.files.items():
         if re.match(r"(?:src/)?linalg/kernels", rel):
@@ -1293,10 +1396,9 @@ def determinism_pass(facts, roots, out):
 # ---------------------------------------------------------------------------
 # Driver
 
-PASS_NAMES = ("lock-order", "hot-alloc", "determinism")
-
-
 def gather_files(roots):
+    """[(root, rel, raw)] for every .h/.cc under `roots`, in sorted
+    order; rel is relative to its root, which stands in for src/."""
     files = []
     for root in roots:
         for dirpath, dirs, filenames in os.walk(root):
@@ -1307,79 +1409,60 @@ def gather_files(roots):
                 path = os.path.join(dirpath, filename)
                 rel = os.path.relpath(path, root).replace(os.sep, "/")
                 with open(path, encoding="utf-8") as handle:
-                    files.append((rel, handle.read()))
+                    files.append((root, rel, handle.read()))
     return files
 
 
-def run(frontend, files, passes, dot_path=None, check_dot=None):
-    facts = frontend.extract(files)
+def run(files, protocol_text):
     violations = []
-    edges = None
-    if "lock-order" in passes or dot_path or check_dot:
-        edges = lock_order_pass(facts, violations)
-    if "hot-alloc" in passes:
-        hot_alloc_pass(facts, violations)
-    if "determinism" in passes:
-        determinism_pass(facts, None, violations)
+    documented = set(re.findall(r"[a-z][a-z0-9_.]*\.[a-z0-9_.]+",
+                                protocol_text))
+    for root, rel, raw in files:
+        per_file_rules(root, rel, raw, protocol_text, documented, violations)
+    facts = extract(files)
+    edges = lock_order_pass(facts, violations)
+    hot_alloc_pass(facts, violations)
+    determinism_pass(facts, violations)
     return facts, violations, edges
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", action="append", default=None,
-                        help="tree(s) to analyze (default: src/)")
-    parser.add_argument("--pass", dest="passes", action="append",
-                        choices=PASS_NAMES, default=None,
-                        help="pass to run (repeatable; default: all)")
-    parser.add_argument("--frontend", choices=("auto", "textual", "clang"),
-                        default="textual",
-                        help="extraction front-end (default: textual, the "
-                             "canonical one; 'clang' uses the libclang "
-                             "Python bindings)")
-    parser.add_argument("--compile-commands", default=os.path.join(
-        REPO, "build"), help="directory holding compile_commands.json "
-        "(clang front-end only)")
+                        help="tree(s) to analyze (default: src/ and tools/)")
+    parser.add_argument("--protocol", default=None,
+                        help="PROTOCOL.md for the metric-name rule "
+                             "(default: docs/PROTOCOL.md)")
     parser.add_argument("--write-dot", metavar="PATH",
                         help="write the lock-order graph as DOT")
     parser.add_argument("--check-dot", metavar="PATH",
                         help="regenerate the DOT and fail if PATH differs")
     args = parser.parse_args()
 
-    roots = args.root or [os.path.join(REPO, "src")]
-    passes = args.passes or list(PASS_NAMES)
-
-    frontend = None
-    if args.frontend in ("clang", "auto"):
-        try:
-            frontend = ClangFrontend(args.compile_commands)
-        except FrontendUnavailable as error:
-            if args.frontend == "clang":
-                print(f"dfs_analyze: NOTICE: clang front-end unavailable "
-                      f"({error}); nothing was analyzed", file=sys.stderr)
-                return 2
-            print(f"dfs_analyze: NOTICE: libclang unavailable ({error}); "
-                  f"using the textual front-end", file=sys.stderr)
-    if frontend is None:
-        frontend = TextualFrontend()
+    roots = args.root or [os.path.join(REPO, "src"),
+                          os.path.join(REPO, "tools")]
+    protocol = args.protocol or os.path.join(REPO, "docs", "PROTOCOL.md")
+    try:
+        with open(protocol, encoding="utf-8") as handle:
+            protocol_text = handle.read()
+    except OSError:
+        protocol_text = ""
 
     files = gather_files(roots)
-    facts, violations, edges = run(frontend, files, passes,
-                                   args.write_dot, args.check_dot)
+    facts, violations, edges = run(files, protocol_text)
 
     status = 0
-    if args.write_dot and edges is not None:
+    if args.write_dot:
         with open(args.write_dot, "w", encoding="utf-8") as handle:
             handle.write(edges_to_dot(edges))
-        print(f"dfs_analyze: wrote {args.write_dot} "
-              f"({len(edges)} edges)")
-    if args.check_dot and edges is not None:
-        expected = edges_to_dot(edges)
+        print(f"dfs_analyze: wrote {args.write_dot} ({len(edges)} edges)")
+    if args.check_dot:
         try:
             with open(args.check_dot, encoding="utf-8") as handle:
                 committed = handle.read()
         except OSError:
             committed = None
-        if committed != expected:
+        if committed != edges_to_dot(edges):
             print(f"dfs_analyze: {args.check_dot} is out of sync with the "
                   f"tree; regenerate with\n  tools/dfs_analyze.py "
                   f"--write-dot {args.check_dot}", file=sys.stderr)
@@ -1388,14 +1471,12 @@ def main():
     for violation in violations:
         print(f"dfs_analyze: {violation}", file=sys.stderr)
     if violations:
-        print(f"dfs_analyze: {len(violations)} violation(s) "
-              f"[frontend={frontend.name}]", file=sys.stderr)
+        print(f"dfs_analyze: {len(violations)} violation(s)",
+              file=sys.stderr)
         return 1
     if status == 0:
-        print(f"dfs_analyze: OK [{frontend.name}] "
-              f"({len(facts.functions)} functions, "
-              f"{0 if edges is None else len(edges)} lock edges, "
-              f"{len(files)} files)")
+        print(f"dfs_analyze: OK ({len(facts.functions)} functions, "
+              f"{len(edges)} lock edges, {len(files)} files)")
     return status
 
 
