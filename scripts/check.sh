@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh               # the tier-1 gate from ROADMAP.md
 #   scripts/check.sh --sanitize    # additionally run the concurrent tests
-#                                  # (serve_test, util_test, router_test,
+#                                  # (serve_test, util_test,
 #                                  # engine_parallel_test, eval_cache_test,
 #                                  # engine_golden_test, kernels_test,
 #                                  # experiment_test, dfs_test)
@@ -52,8 +52,8 @@
 #                                  # still covers the corpus everywhere)
 #   scripts/check.sh --stress [N]  # N (default 10) repeats of the
 #                                  # thread-pool suites, engine_parallel_test,
-#                                  # experiment_test, eval_cache_test,
-#                                  # serve_test and router_test at
+#                                  # experiment_test, eval_cache_test and
+#                                  # serve_test at
 #                                  # DFS_THREADS=4, in a plain build and
 #                                  # under TSan
 #   scripts/check.sh --all         # tier-1 + --sanitize + --docs + --lint
@@ -126,7 +126,7 @@ run_stress() {
   # many times over: once in the tier-1 build, once under TSan.
   local repeats="$1"
   local suites=(engine_parallel_test experiment_test eval_cache_test
-                serve_test router_test)
+                serve_test)
   local targets=(util_test "${suites[@]}")
   cmake -B build -S .
   cmake --build build -j --target "${targets[@]}"
@@ -221,12 +221,11 @@ if [[ "${1:-}" == "--sanitize" || "${1:-}" == "--all" ]]; then
   # along: its byte-identical comparisons must hold when evaluations share
   # the engine's scratch pool across threads.
   cmake -B build-tsan -S . -DDFS_SANITIZE=thread
-  cmake --build build-tsan -j --target serve_test util_test router_test \
+  cmake --build build-tsan -j --target serve_test util_test \
     engine_parallel_test eval_cache_test engine_golden_test kernels_test \
     experiment_test dfs_test
   ./build-tsan/tests/serve_test
   ./build-tsan/tests/util_test
-  ./build-tsan/tests/router_test
   ./build-tsan/tests/engine_parallel_test
   ./build-tsan/tests/eval_cache_test
   ./build-tsan/tests/engine_golden_test

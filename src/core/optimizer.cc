@@ -196,8 +196,8 @@ StatusOr<std::string> DfsOptimizer::Serialize() const {
   if (strategies_.empty()) return FailedPreconditionError("not trained");
   std::ostringstream out;
   // max_digits10 so priors/constants round-trip exactly: a restored
-  // optimizer must produce bit-identical probabilities (the router's
-  // snapshot-replay contract compares them byte-for-byte).
+  // optimizer must produce bit-identical probabilities, so a shipped model
+  // chooses what the trained one chose.
   out << std::setprecision(17);
   out << "dfs-optimizer v1\n";
   out << options_.landmark_sample_size << " " << options_.landmark_folds
@@ -332,29 +332,12 @@ uint64_t ScenarioFingerprint(const std::string& dataset_name, int num_rows,
   return hash;
 }
 
-std::vector<DfsOptimizer::TrainingExample> ExamplesFromOutcomeRecords(
-    const std::vector<OutcomeRecord>& records) {
-  std::vector<DfsOptimizer::TrainingExample> examples;
-  std::map<uint64_t, size_t> index_by_fingerprint;
-  for (const OutcomeRecord& record : records) {
-    auto [it, inserted] =
-        index_by_fingerprint.try_emplace(record.fingerprint, examples.size());
-    if (inserted) {
-      DfsOptimizer::TrainingExample example;
-      example.features = record.features;
-      examples.push_back(std::move(example));
-    }
-    examples[it->second].outcomes[record.strategy] = record.success;
-  }
-  return examples;
-}
-
 StatusOr<std::vector<DfsOptimizer::TrainingExample>> BuildTrainingExamples(
     const ExperimentPool& pool, const OptimizerOptions& options) {
-  std::vector<OutcomeRecord> flat;
+  std::vector<DfsOptimizer::TrainingExample> examples;
+  examples.reserve(pool.records().size());
   // Datasets regenerate deterministically from the pool config.
   std::vector<std::optional<data::Dataset>> datasets(data::BenchmarkSize());
-  uint64_t ordinal = 0;
   for (const auto& record : pool.records()) {
     auto& slot = datasets[record.dataset_index];
     if (!slot.has_value()) {
@@ -365,32 +348,24 @@ StatusOr<std::vector<DfsOptimizer::TrainingExample>> BuildTrainingExamples(
                                          pool.config().row_scale));
       slot = std::move(dataset);
     }
+    DfsOptimizer::TrainingExample example;
     DFS_ASSIGN_OR_RETURN(
-        ScenarioFeatures features,
+        example.features,
         FeaturizeScenario(*slot, record.model, record.constraint_set,
                           options));
-    // The pool's training unit is the record: salt the fingerprint with the
-    // record ordinal so two records describing the same scenario shape stay
-    // separate examples (LODO indexes examples parallel to records).
-    ++ordinal;
-    const uint64_t fingerprint =
-        ScenarioFingerprint(record.dataset_name, slot->num_rows(),
-                            slot->num_features(), record.model,
-                            record.constraint_set) ^
-        (ordinal * 0x9E3779B97F4A7C15ULL);
+    // A record without outcomes stays an (all-failure) example: the
+    // baseline id is outside every Train call's strategy set, so only the
+    // example's presence matters (LODO indexes examples parallel to
+    // records).
     if (record.outcomes.empty()) {
-      // Keep the record as an (all-failure) example, exactly as before the
-      // OutcomeRecord pathway: the baseline id is outside every Train call's
-      // strategy set, so only the example's presence matters.
-      flat.push_back({fingerprint, features,
-                      fs::StrategyId::kOriginalFeatureSet, false});
-      continue;
+      example.outcomes[fs::StrategyId::kOriginalFeatureSet] = false;
     }
     for (const auto& outcome : record.outcomes) {
-      flat.push_back({fingerprint, features, outcome.id, outcome.success});
+      example.outcomes[outcome.id] = outcome.success;
     }
+    examples.push_back(std::move(example));
   }
-  return ExamplesFromOutcomeRecords(flat);
+  return examples;
 }
 
 namespace {

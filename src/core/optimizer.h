@@ -88,38 +88,18 @@ class DfsOptimizer {
   std::map<fs::StrategyId, double> success_prior_;  // global training rates
 };
 
-/// One observed (scenario, strategy, outcome) triple — the single
-/// featurize→outcome pathway shared by the offline training-pool builder
-/// (BuildTrainingExamples) and the online router's replay buffer
-/// (dfs::router). Records with equal fingerprints describe the same
-/// scenario and are merged into one TrainingExample.
-struct OutcomeRecord {
-  uint64_t fingerprint = 0;
-  ScenarioFeatures features;
-  fs::StrategyId strategy = fs::StrategyId::kOriginalFeatureSet;
-  bool success = false;
-};
-
 /// Stable 64-bit fingerprint of a scenario shape (dataset identity, model,
 /// constraint thresholds). FNV-1a over the identifying fields, so equal
-/// shapes hash equal across processes — the key of the router's
-/// featurization cache and of OutcomeRecord grouping.
+/// shapes hash equal across processes; the job service mixes it into the
+/// key of its shared eval caches.
 uint64_t ScenarioFingerprint(const std::string& dataset_name, int num_rows,
                              int num_features, ml::ModelKind model,
                              const constraints::ConstraintSet& constraint_set);
 
-/// Groups outcome records by fingerprint into the merged per-scenario
-/// examples DfsOptimizer::Train consumes. First-seen order is preserved;
-/// for duplicate (fingerprint, strategy) pairs the most recent record wins
-/// (online feedback overwrites stale outcomes).
-std::vector<DfsOptimizer::TrainingExample> ExamplesFromOutcomeRecords(
-    const std::vector<OutcomeRecord>& records);
-
 /// Builds TrainingExamples from pool records by regenerating each dataset
-/// and featurizing (deterministic in the pool's config seed). Flattens
-/// each record through OutcomeRecord + ExamplesFromOutcomeRecords — the
-/// same pathway the online router feeds — salting the fingerprint with the
-/// record ordinal so each pool record stays its own example.
+/// and featurizing (deterministic in the pool's config seed): one example
+/// per record, in pool order. A strategy listed twice in a record keeps its
+/// last outcome.
 StatusOr<std::vector<DfsOptimizer::TrainingExample>> BuildTrainingExamples(
     const ExperimentPool& pool, const OptimizerOptions& options);
 

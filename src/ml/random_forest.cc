@@ -162,8 +162,8 @@ double RandomForest::PredictProba(std::span<const double> row) const {
   DFS_CHECK(fitted_) << "PredictProba before Fit";
   if (members_.empty()) return prior_;
   double total = 0.0;
-  // Per-thread gather buffer: the router shares one trained forest across
-  // serving threads, so the scratch cannot live on the (const) instance.
+  // Per-thread gather buffer: the job service's workers share one trained
+  // forest, so the scratch cannot live on the (const) instance.
   // Still allocation-free after each thread's first warm-up call.
   // DFS_THREAD_LOCAL_OK: per-thread scratch; one model serves many threads.
   thread_local std::vector<double> sub_row;

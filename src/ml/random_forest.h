@@ -34,9 +34,9 @@ class RandomForest : public Classifier {
       : options_(options) {}
 
   Status Fit(const linalg::Matrix& x, const std::vector<int>& y) override;
-  /// Thread-safe on a fitted forest: the router shares one trained
-  /// optimizer (and its forests) across serving threads, so concurrent
-  /// const predictions must not touch instance state.
+  /// Thread-safe on a fitted forest: the job service's workers share one
+  /// installed optimizer (and its forests), so concurrent const
+  /// predictions must not touch instance state.
   double PredictProba(std::span<const double> row) const override;
   /// Re-expose the base-class std::vector convenience shim (the span
   /// override would otherwise hide it from unqualified lookup).

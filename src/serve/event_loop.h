@@ -27,8 +27,8 @@ namespace dfs::serve {
 ///   * Request shed: when `shed_watermark > 0` and the server's bounded
 ///     job-queue depth has reached the watermark, canonically-encoded
 ///     submit lines are answered with ShedResponse() immediately — the
-///     front-end never pays constraint parsing, fingerprinting, or routing
-///     for work the queue would reject anyway. Non-submit verbs (status
+///     front-end never pays constraint parsing or job set-up for work
+///     the queue would reject anyway. Non-submit verbs (status
 ///     polls, result fetches, cancels) are never shed.
 ///   * Accept shed: past `max_connections` open channels, a newly accepted
 ///     connection gets one best-effort AcceptShedResponse() line and is

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/eval_cache.h"
-#include "fs/registry.h"
 #include "obs/metrics.h"
 #include "serve/line_protocol.h"
 #include "util/string_util.h"
@@ -49,33 +48,6 @@ std::string HandleSubmit(DfsServer& server, const JobRequest& request) {
   object["ok"] = JsonValue::Bool(true);
   object["id"] = JsonValue::Number(static_cast<double>(*id));
   object["state"] = JsonValue::String(JobStateName(JobState::kQueued));
-  // Routed "auto" jobs explain their decision in the submit response
-  // (docs/PROTOCOL.md "submit", dfs_submit --explain-route).
-  if (const auto route = server.GetRoute(*id); route.has_value()) {
-    object["strategy"] =
-        JsonValue::String(fs::StrategyIdToString(route->chosen));
-    object["route_policy"] = JsonValue::String(route->policy);
-    object["route_explored"] = JsonValue::Bool(route->explored);
-    object["route_portfolio"] = JsonValue::Bool(route->portfolio);
-    if (!route->probabilities.empty()) {
-      std::vector<std::string> probs;
-      probs.reserve(route->probabilities.size());
-      for (const auto& [strategy, probability] : route->probabilities) {
-        char value[40];
-        std::snprintf(value, sizeof(value), "%.6g", probability);
-        probs.push_back(fs::StrategyIdToString(strategy) + ":" + value);
-      }
-      object["route_probs"] = JsonValue::String(Join(probs, " "));
-    }
-    if (route->portfolio) {
-      std::vector<std::string> members;
-      members.reserve(route->members.size());
-      for (const fs::StrategyId member : route->members) {
-        members.push_back(fs::StrategyIdToString(member));
-      }
-      object["route_members"] = JsonValue::String(Join(members, ", "));
-    }
-  }
   return WriteJsonLine(object);
 }
 
@@ -160,40 +132,6 @@ std::string HandleStats(DfsServer& server) {
       JsonValue::Number(stats.queue_seconds_total);
   object["run_seconds_total"] = JsonValue::Number(stats.run_seconds_total);
   object["run_seconds_max"] = JsonValue::Number(stats.run_seconds_max);
-  return WriteJsonLine(object);
-}
-
-/// The "router" verb: policy, learning-loop progress and per-strategy route
-/// counts of the server's strategy router (docs/PROTOCOL.md "router").
-std::string HandleRouter(DfsServer& server) {
-  const router::RouterStats stats = server.router().Stats();
-  JsonObject object;
-  object["ok"] = JsonValue::Bool(true);
-  object["policy"] = JsonValue::String(stats.policy);
-  object["decisions"] =
-      JsonValue::Number(static_cast<double>(stats.decisions));
-  object["explored"] = JsonValue::Number(static_cast<double>(stats.explored));
-  object["portfolio"] =
-      JsonValue::Number(static_cast<double>(stats.portfolio));
-  object["outcomes"] = JsonValue::Number(static_cast<double>(stats.outcomes));
-  object["refits"] = JsonValue::Number(static_cast<double>(stats.refits));
-  object["generation"] =
-      JsonValue::Number(static_cast<double>(stats.generation));
-  object["optimizer_loaded"] = JsonValue::Bool(stats.optimizer_loaded);
-  object["buffer_depth"] =
-      JsonValue::Number(static_cast<double>(stats.buffer_depth));
-  object["buffer_capacity"] =
-      JsonValue::Number(static_cast<double>(stats.buffer_capacity));
-  object["feature_cache_size"] =
-      JsonValue::Number(static_cast<double>(stats.feature_cache_size));
-  object["feature_cache_hits"] =
-      JsonValue::Number(static_cast<double>(stats.feature_cache_hits));
-  object["feature_cache_misses"] =
-      JsonValue::Number(static_cast<double>(stats.feature_cache_misses));
-  for (const auto& [name, count] : stats.routes) {
-    object["routes." + obs::SanitizeLabel(name)] =
-        JsonValue::Number(static_cast<double>(count));
-  }
   return WriteJsonLine(object);
 }
 
@@ -293,8 +231,6 @@ DispatchResult Dispatch(DfsServer& server, const std::string& line) {
       return {HandleStats(server), false};
     case Request::Op::kMetrics:
       return {HandleMetrics(server), false};
-    case Request::Op::kRouter:
-      return {HandleRouter(server), false};
     case Request::Op::kCache:
       return {HandleCache(server), false};
     case Request::Op::kPing: {

@@ -88,16 +88,6 @@ std::string Job::error() const {
   return error_;
 }
 
-void Job::set_route(router::RouteDecision route) {
-  util::MutexLock lock(mu_);
-  route_ = std::move(route);
-}
-
-std::optional<router::RouteDecision> Job::route() const {
-  util::MutexLock lock(mu_);
-  return route_;
-}
-
 double Job::queue_seconds() const {
   util::MutexLock lock(mu_);
   const Clock::time_point end =

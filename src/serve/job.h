@@ -4,13 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "constraints/constraint_set.h"
 #include "ml/classifier.h"
-#include "router/router.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -113,14 +111,6 @@ class Job {
   void set_error(std::string error);
   std::string error() const;
 
-  // Route slot --------------------------------------------------------
-  /// The router's decision for an "auto" job, stamped at submission (before
-  /// the job is queued) so the worker runs exactly what was decided and the
-  /// submit response can explain it. Absent for explicit-strategy jobs and
-  /// for "auto" jobs whose dataset could not be resolved at submit.
-  void set_route(router::RouteDecision route);
-  std::optional<router::RouteDecision> route() const;
-
   // Timing ------------------------------------------------------------
   /// Seconds spent QUEUED (until run start, or until now while queued).
   double queue_seconds() const;
@@ -140,7 +130,6 @@ class Job {
   JobState state_ DFS_GUARDED_BY(mu_) = JobState::kQueued;
   JobResult result_ DFS_GUARDED_BY(mu_);
   std::string error_ DFS_GUARDED_BY(mu_);
-  std::optional<router::RouteDecision> route_ DFS_GUARDED_BY(mu_);
   /// Stamped once in the constructor, read-only afterwards — not guarded.
   Clock::time_point submitted_at_;
   Clock::time_point started_at_ DFS_GUARDED_BY(mu_){};

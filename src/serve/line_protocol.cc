@@ -281,10 +281,6 @@ StatusOr<Request> ParseRequestLine(const std::string& line) {
     request.op = Request::Op::kCache;
     return request;
   }
-  if (op == "router") {
-    request.op = Request::Op::kRouter;
-    return request;
-  }
   if (op == "shutdown") {
     request.op = Request::Op::kShutdown;
     return request;

@@ -24,7 +24,6 @@ namespace dfs::serve {
 ///   -> {"op":"cancel","id":7}        -> {"op":"stats"}
 ///   -> {"op":"ping"}                 -> {"op":"shutdown"}
 ///   -> {"op":"metrics"}   // dfs::obs registry snapshot, flattened
-///   -> {"op":"router"}    // routing policy, refits, per-strategy counts
 ///   -> {"op":"cache"}     // shared eval-cache counters + occupancy
 ///
 /// Errors: {"ok":false,"error":"<machine tag>","message":"<detail>"}.
@@ -68,7 +67,7 @@ std::optional<double> GetOptionalNumber(const JsonObject& object,
 /// A parsed client request.
 struct Request {
   enum class Op { kSubmit, kStatus, kResult, kCancel, kStats, kMetrics,
-                  kRouter, kCache, kPing, kShutdown };
+                  kCache, kPing, kShutdown };
   Op op = Op::kPing;
   /// Valid when op == kSubmit.
   JobRequest submit;

@@ -8,7 +8,6 @@
 #include "data/benchmark_suite.h"
 #include "data/synthetic.h"
 #include "fs/feature_subset.h"
-#include "fs/portfolio.h"
 #include "fs/registry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -84,8 +83,6 @@ DfsServer::DfsServer(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queue_capacity) {
   options_.num_workers = std::max(1, options_.num_workers);
-  options_.router.default_strategy = options_.default_auto_strategy;
-  router_ = std::make_unique<router::StrategyRouter>(options_.router);
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -101,7 +98,10 @@ void DfsServer::RegisterDataset(const std::string& name,
 }
 
 void DfsServer::SetOptimizer(core::DfsOptimizer optimizer) {
-  router_->InstallOptimizer(std::move(optimizer));
+  auto installed =
+      std::make_shared<const core::DfsOptimizer>(std::move(optimizer));
+  util::MutexLock lock(optimizer_mu_);
+  optimizer_ = std::move(installed);
 }
 
 StatusOr<JobId> DfsServer::Submit(const JobRequest& request) {
@@ -121,18 +121,6 @@ StatusOr<JobId> DfsServer::Submit(const JobRequest& request) {
 
   const JobId id = next_id_.fetch_add(1);
   auto job = std::make_shared<Job>(id, request);
-  if (request.strategy == "auto") {
-    // Route before enqueueing so the worker runs exactly what was decided
-    // and the submit response can explain the decision. Dataset-resolution
-    // failures leave the job unrouted; the worker fails it with the same
-    // error. A subsequent queue-full rejection still counts the decision
-    // (no outcome ever arrives for it).
-    auto dataset = ResolveDataset(request.dataset);
-    if (dataset.ok()) {
-      job->set_route(router_->Route(**dataset, request.dataset, request.model,
-                                    request.constraint_set));
-    }
-  }
   {
     util::MutexLock lock(jobs_mu_);
     SweepLocked();
@@ -324,7 +312,6 @@ void DfsServer::WorkerLoop() {
     metrics.running.Add(-1);
     if (job->TryTransition(outcome.state)) {
       RecordTerminal(*job, outcome.evaluations);
-      ReportRouteOutcome(*job);
     }
   }
 }
@@ -342,26 +329,13 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
   auto dataset = ResolveDataset(request.dataset);
   if (!dataset.ok()) return fail(dataset.status().ToString());
 
-  // Resolve what to run: an explicit strategy name, the router's decision
-  // (stamped at submission), or the configured default for "auto" jobs that
-  // could not be routed.
-  std::unique_ptr<fs::FeatureSelectionStrategy> strategy;
-  if (request.strategy != "auto") {
-    auto strategy_id = fs::StrategyIdFromString(request.strategy);
-    if (!strategy_id.ok()) return fail(strategy_id.status().ToString());
-    strategy = fs::CreateStrategy(*strategy_id, request.seed);
-  } else if (auto route = job.route(); route.has_value()) {
-    if (route->portfolio) {
-      strategy = std::make_unique<fs::TimeSlicedPortfolio>(route->members,
-                                                           request.seed);
-    } else {
-      strategy = fs::CreateStrategy(route->chosen, request.seed);
-    }
-  } else {
-    auto fallback = fs::StrategyIdFromString(options_.default_auto_strategy);
-    if (!fallback.ok()) return fail(fallback.status().ToString());
-    strategy = fs::CreateStrategy(*fallback, request.seed);
-  }
+  const StatusOr<fs::StrategyId> strategy_id =
+      request.strategy == "auto"
+          ? StatusOr<fs::StrategyId>(ResolveAuto(**dataset, request))
+          : fs::StrategyIdFromString(request.strategy);
+  if (!strategy_id.ok()) return fail(strategy_id.status().ToString());
+  const std::unique_ptr<fs::FeatureSelectionStrategy> strategy =
+      fs::CreateStrategy(*strategy_id, request.seed);
 
   Rng rng(request.seed);
   auto scenario = core::MakeScenario(**dataset, request.model,
@@ -402,6 +376,32 @@ DfsServer::JobOutcome DfsServer::ExecuteJob(Job& job) {
                                : run.timed_out ? JobState::kTimedOut
                                                : JobState::kDone;
   return JobOutcome{final_state, run.evaluations};
+}
+
+fs::StrategyId DfsServer::ResolveAuto(const data::Dataset& dataset,
+                                      const JobRequest& request) const {
+  std::shared_ptr<const core::DfsOptimizer> optimizer;
+  {
+    util::MutexLock lock(optimizer_mu_);
+    optimizer = optimizer_;
+  }
+  if (optimizer == nullptr) return kAutoFallback;
+  // The two calls of DeclarativeFeatureSelection::SelectWithOptimizer.
+  auto features =
+      core::FeaturizeScenario(dataset, request.model, request.constraint_set,
+                              core::OptimizerOptions{});
+  if (!features.ok()) {
+    DFS_LOG(WARNING) << "auto: featurization failed: "
+                     << features.status().ToString();
+    return kAutoFallback;
+  }
+  auto chosen = optimizer->Choose(*features);
+  if (!chosen.ok()) {
+    DFS_LOG(WARNING) << "auto: prediction failed: "
+                     << chosen.status().ToString();
+    return kAutoFallback;
+  }
+  return *chosen;
 }
 
 void DfsServer::RecordTerminal(const Job& job, int evaluations) {
@@ -464,34 +464,6 @@ StatusOr<std::shared_ptr<const data::Dataset>> DfsServer::ResolveDataset(
       std::make_shared<const data::Dataset>(*std::move(generated));
   datasets_[name] = shared;
   return shared;
-}
-
-void DfsServer::ReportRouteOutcome(const Job& job) {
-  const std::optional<router::RouteDecision> route = job.route();
-  if (!route.has_value()) return;
-  bool success;
-  switch (job.state()) {
-    case JobState::kDone:
-      success = job.result().success;
-      break;
-    case JobState::kTimedOut:
-      success = false;  // the budget expired: the strategy did not satisfy
-      break;
-    default:
-      return;  // cancelled / failed say nothing about the strategy
-  }
-  router_->ReportOutcome(*route, route->chosen, success);
-}
-
-std::optional<router::RouteDecision> DfsServer::GetRoute(JobId id) const {
-  std::shared_ptr<Job> job;
-  {
-    util::MutexLock lock(jobs_mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) return std::nullopt;
-    job = it->second;
-  }
-  return job->route();
 }
 
 void DfsServer::SweepLocked() {

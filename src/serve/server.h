@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -14,7 +13,6 @@
 #include "core/optimizer.h"
 #include "data/dataset.h"
 #include "fs/registry.h"
-#include "router/router.h"
 #include "serve/job.h"
 #include "serve/job_queue.h"
 #include "util/mutex.h"
@@ -22,6 +20,10 @@
 #include "util/thread_annotations.h"
 
 namespace dfs::serve {
+
+/// What an "auto" job runs when no meta-optimizer is installed: SFFS(NR),
+/// the paper's best all-round single strategy.
+inline constexpr fs::StrategyId kAutoFallback = fs::StrategyId::kSffs;
 
 /// Static configuration of a DfsServer.
 struct ServerOptions {
@@ -40,13 +42,6 @@ struct ServerOptions {
   double dataset_row_scale = 1.0;
   /// Seed for dataset generation and scenario splitting.
   uint64_t seed = 7;
-  /// Strategy used for "auto" requests when no meta-optimizer is loaded
-  /// (SFFS(NR) is the paper's best all-round single strategy). Overrides
-  /// router.default_strategy at construction.
-  std::string default_auto_strategy = "SFFS(NR)";
-  /// Strategy-routing configuration ("auto" resolution lives in
-  /// dfs::router; see router/router.h for policies and the online loop).
-  router::RouterOptions router;
   /// Share wrapper evaluations across jobs: each job's engine gets the
   /// eval-cache registry's shared L2 cache for its evaluation-context
   /// fingerprint (dataset + model + constraint set + seed + engine
@@ -122,18 +117,10 @@ class DfsServer {
   /// previous dataset of the same name (future jobs only).
   void RegisterDataset(const std::string& name, data::Dataset dataset);
 
-  /// Installs a trained meta-optimizer into the router; "auto" jobs then
-  /// use Algorithm 1's deployment phase through the configured policy.
+  /// Installs a trained meta-optimizer. "auto" jobs that start after this
+  /// call run its argmax (Algorithm 1's deployment phase); without one
+  /// they run kAutoFallback.
   void SetOptimizer(core::DfsOptimizer optimizer);
-
-  /// The strategy router owning "auto" resolution (policy, online feedback
-  /// loop, snapshot/restore; see router/router.h).
-  router::StrategyRouter& router() { return *router_; }
-  const router::StrategyRouter& router() const { return *router_; }
-
-  /// The routing decision stamped on an "auto" job at submission; nullopt
-  /// for explicit-strategy jobs, unrouted jobs, and unknown ids.
-  std::optional<router::RouteDecision> GetRoute(JobId id) const;
 
   /// The shared eval-cache registry (one cache per evaluation-context
   /// fingerprint; see ServerOptions::share_eval_cache). The daemon spills
@@ -192,10 +179,11 @@ class DfsServer {
   JobOutcome ExecuteJob(Job& job);
   Status CancelJob(const std::shared_ptr<Job>& job);
   void RecordTerminal(const Job& job, int evaluations);
-  /// Feeds a terminal routed job's outcome back to the router (DONE uses
-  /// the result's success flag, TIMED_OUT counts as failure; other terminal
-  /// states say nothing about the strategy and are skipped).
-  void ReportRouteOutcome(const Job& job);
+  /// Resolves "auto" for one job on its worker: the installed optimizer's
+  /// argmax over the job's scenario features, or kAutoFallback when no
+  /// optimizer is installed or featurization / prediction fails.
+  fs::StrategyId ResolveAuto(const data::Dataset& dataset,
+                             const JobRequest& request) const;
   StatusOr<std::shared_ptr<const data::Dataset>> ResolveDataset(
       const std::string& name);
   /// Evicts expired / over-cap terminal jobs.
@@ -217,9 +205,11 @@ class DfsServer {
   std::map<std::string, std::shared_ptr<const data::Dataset>> datasets_
       DFS_GUARDED_BY(datasets_mu_);
 
-  /// Owns "auto" resolution; constructed before the workers start and
-  /// destroyed after they join, so worker threads use it lock-free.
-  std::unique_ptr<router::StrategyRouter> router_;
+  /// Set by SetOptimizer. The lock is held only to copy the pointer, so a
+  /// worker featurizes and predicts outside it.
+  mutable util::Mutex optimizer_mu_;
+  std::shared_ptr<const core::DfsOptimizer> optimizer_
+      DFS_GUARDED_BY(optimizer_mu_);
 
   /// Shared L2 eval caches keyed by evaluation-context fingerprint
   /// (internally synchronized; workers attach per-job caches from it).

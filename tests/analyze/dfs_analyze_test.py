@@ -141,6 +141,27 @@ class GraphPassesTest(RuleHarness, unittest.TestCase):
                 self.assertEqual(result.returncode, 0,
                                  result.stdout + result.stderr)
 
+    def test_same_path_under_two_roots_is_analyzed_twice(self):
+        # Files are keyed by (root, relative path): an innocuous b/x.cc
+        # must not shadow the fp-accumulate violation in a/x.cc.
+        with open(os.path.join(FIXTURES, "fp_accumulate.cc"),
+                  encoding="utf-8") as handle:
+            bad = handle.read()
+        innocuous = "namespace fixture {\n\nint Zero() { return 0; }\n\n" \
+                    "}  // namespace fixture\n"
+        with tempfile.TemporaryDirectory() as scratch:
+            roots = []
+            for name, source in (("a", bad), ("b", innocuous)):
+                root = os.path.join(scratch, name)
+                os.mkdir(root)
+                with open(os.path.join(root, "x.cc"), "w",
+                          encoding="utf-8") as handle:
+                    handle.write(source)
+                roots += ["--root", root]
+            result = run_analyze(*roots)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertRegex(result.stderr, r"x\.cc:\d+: \[fp-accumulate\]")
+
     def test_stale_dot_fails_with_regenerate_hint(self):
         with open(LOCK_ORDER_DOT, encoding="utf-8") as handle:
             lines = handle.read().splitlines(keepends=True)

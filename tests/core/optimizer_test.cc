@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/experiment.h"
+#include "data/benchmark_suite.h"
 #include "testing/test_util.h"
+#include "util/csv.h"
 
 namespace dfs::core {
 namespace {
@@ -165,6 +172,130 @@ TEST(DfsOptimizerTest, UntrainedRejectsQueries) {
   query.values.assign(ScenarioFeatures::Names().size(), 0.0);
   EXPECT_FALSE(optimizer.Choose(query).ok());
   EXPECT_FALSE(optimizer.Train({}, {fs::StrategyId::kSfs}).ok());
+}
+
+// ---- BuildTrainingExamples ------------------------------------------
+
+/// One outcome row of a hand-written pool CSV (in ExperimentPool::SaveCsv
+/// layout): the scenario it belongs to, its F1 floor, and the outcome.
+struct PoolRow {
+  int scenario_id;
+  double min_f1;
+  fs::StrategyId strategy;
+  bool success;
+};
+
+constexpr int kPoolDataset = 6;  // COMPAS: few features, fast featurization
+
+ExperimentConfig SmallPoolConfig(int num_scenarios) {
+  ExperimentConfig config;
+  config.num_scenarios = num_scenarios;
+  config.use_hpo = false;
+  config.row_scale = 0.2;
+  return config;
+}
+
+StatusOr<ExperimentPool> PoolFromRows(const ExperimentConfig& config,
+                                      const std::vector<PoolRow>& rows,
+                                      const std::string& name) {
+  CsvTable table;
+  table.header = {"config_hash", "scenario_id", "dataset_index",
+                  "dataset_name", "model", "min_f1", "max_search_seconds",
+                  "max_feature_fraction", "min_eo", "min_safety",
+                  "privacy_epsilon", "rows", "features", "strategy",
+                  "success", "seconds", "distance_validation",
+                  "distance_test", "test_f1", "timed_out",
+                  "search_exhausted", "evaluations"};
+  for (const PoolRow& row : rows) {
+    table.rows.push_back({std::to_string(config.Hash()),
+                          std::to_string(row.scenario_id),
+                          std::to_string(kPoolDataset), "COMPAS", "LR",
+                          std::to_string(row.min_f1), "5", "-", "-", "-", "-",
+                          "200", "8", fs::StrategyIdToString(row.strategy),
+                          row.success ? "1" : "0", "0.1", "0", "0", "0.5",
+                          "0", "0", "1"});
+  }
+  const std::string path = ::testing::TempDir() + "/" + name + ".csv";
+  DFS_RETURN_IF_ERROR(WriteCsvFile(table, path));
+  auto pool = ExperimentPool::LoadCsv(path, config);
+  std::remove(path.c_str());
+  return pool;
+}
+
+ScenarioFeatures PoolFeatures(const ExperimentConfig& config, double min_f1) {
+  auto dataset = data::GenerateBenchmarkDataset(kPoolDataset, config.seed,
+                                                config.row_scale);
+  EXPECT_TRUE(dataset.ok());
+  constraints::ConstraintSet set;
+  set.min_f1 = min_f1;
+  set.max_search_seconds = 5;
+  auto features = FeaturizeScenario(*dataset, ml::ModelKind::kLogisticRegression,
+                                    set, OptimizerOptions());
+  EXPECT_TRUE(features.ok());
+  return *features;
+}
+
+// One training example per pool record, in pool order, even when two
+// records describe the same scenario shape. (Named after the replay buffer
+// that once shared this pathway.)
+TEST(ReplayBufferTest, BoundedFifo) {
+  const ExperimentConfig config = SmallPoolConfig(3);
+  auto pool = PoolFromRows(config,
+                           {{0, 0.5, fs::StrategyId::kSfs, true},
+                            {0, 0.5, fs::StrategyId::kSbs, false},
+                            {1, 0.5, fs::StrategyId::kSfs, false},
+                            {1, 0.5, fs::StrategyId::kSbs, true},
+                            {2, 0.8, fs::StrategyId::kSfs, true}},
+                           "one_example_per_record");
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  auto examples = BuildTrainingExamples(*pool, OptimizerOptions());
+  ASSERT_TRUE(examples.ok()) << examples.status().ToString();
+  ASSERT_EQ(examples->size(), 3u);
+  using Outcomes = std::map<fs::StrategyId, bool>;
+  EXPECT_EQ((*examples)[0].outcomes,
+            (Outcomes{{fs::StrategyId::kSfs, true},
+                      {fs::StrategyId::kSbs, false}}));
+  EXPECT_EQ((*examples)[1].outcomes,
+            (Outcomes{{fs::StrategyId::kSfs, false},
+                      {fs::StrategyId::kSbs, true}}));
+  EXPECT_EQ((*examples)[2].outcomes,
+            (Outcomes{{fs::StrategyId::kSfs, true}}));
+  EXPECT_EQ((*examples)[0].features.values, PoolFeatures(config, 0.5).values);
+  EXPECT_EQ((*examples)[1].features.values, (*examples)[0].features.values);
+  EXPECT_EQ((*examples)[2].features.values, PoolFeatures(config, 0.8).values);
+}
+
+// A strategy listed twice in a record keeps its last outcome, and a record
+// without outcomes stays an all-failure example. (Named after the router's
+// featurization cache, which these examples no longer pass through.)
+TEST(FeatureCacheTest, FifoEvictionAndCounters) {
+  const ExperimentConfig config = SmallPoolConfig(1);
+  auto pool = PoolFromRows(config,
+                           {{0, 0.5, fs::StrategyId::kSfs, false},
+                            {0, 0.5, fs::StrategyId::kSbs, true},
+                            {0, 0.5, fs::StrategyId::kSfs, true},
+                            {0, 0.5, fs::StrategyId::kSbs, false}},
+                           "last_outcome_wins");
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  auto examples = BuildTrainingExamples(*pool, OptimizerOptions());
+  ASSERT_TRUE(examples.ok());
+  ASSERT_EQ(examples->size(), 1u);
+  EXPECT_EQ((*examples)[0].outcomes,
+            (std::map<fs::StrategyId, bool>{{fs::StrategyId::kSfs, true},
+                                            {fs::StrategyId::kSbs, false}}));
+
+  ExperimentConfig empty = SmallPoolConfig(2);
+  empty.strategies.clear();
+  auto unraced = ExperimentPool::Run(empty, /*verbose=*/false);
+  ASSERT_TRUE(unraced.ok()) << unraced.status().ToString();
+  auto unraced_examples = BuildTrainingExamples(*unraced, OptimizerOptions());
+  ASSERT_TRUE(unraced_examples.ok());
+  ASSERT_EQ(unraced_examples->size(), 2u);
+  for (const auto& example : *unraced_examples) {
+    EXPECT_EQ(example.outcomes,
+              (std::map<fs::StrategyId, bool>{
+                  {fs::StrategyId::kOriginalFeatureSet, false}}));
+  }
 }
 
 }  // namespace

@@ -249,6 +249,8 @@ TEST(DfsServerTest, AutoStrategyFallsBackWithoutOptimizer) {
   EXPECT_EQ(result->strategy, "SFFS(NR)");  // documented default
 }
 
+// An "auto" submit is accepted like any other (ok, id, QUEUED); the
+// strategy it resolved to arrives on the result line.
 TEST(DfsServerTest, RoutedSubmitResponseCarriesRouteFields) {
   auto server = MakeServer(/*workers=*/1, /*capacity=*/4);
   JsonObject response =
@@ -260,49 +262,29 @@ TEST(DfsServerTest, RoutedSubmitResponseCarriesRouteFields) {
                         .response)
           .value_or(JsonObject{});
   ASSERT_TRUE(GetBool(response, "ok").value_or(false));
-  // An "auto" submit explains its route in the accept line (PROTOCOL.md):
-  // the resolved strategy and the deciding policy.
-  EXPECT_EQ(GetString(response, "strategy").value_or(""), "SFFS(NR)");
-  EXPECT_EQ(GetString(response, "route_policy").value_or(""), "static");
-  EXPECT_FALSE(GetBool(response, "route_explored").value_or(true));
-  EXPECT_FALSE(GetBool(response, "route_portfolio").value_or(true));
+  EXPECT_EQ(GetString(response, "state").value_or(""), "QUEUED");
+  EXPECT_EQ(response.size(), 3u);
+  EXPECT_FALSE(GetString(response, "strategy").ok());
   const int id = static_cast<int>(GetNumber(response, "id").value_or(0));
   ASSERT_TRUE(server->WaitForTerminal(id, 60.0).ok());
-  auto route = server->GetRoute(id);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->chosen, fs::StrategyId::kSffs);
 
-  // Explicit-strategy submits carry no route fields.
-  JsonObject explicit_response =
-      ParseJsonLine(Dispatch(*server,
-                             std::string(R"({"op":"submit","dataset":")") +
-                                 kDataset +
-                                 R"js(","strategy":"SFS(NR)","min_f1":0.5,)js"
-                                 R"js("budget":10})js")
+  JsonObject result =
+      ParseJsonLine(Dispatch(*server, R"({"op":"result","id":)" +
+                                          std::to_string(id) + "}")
                         .response)
           .value_or(JsonObject{});
-  ASSERT_TRUE(GetBool(explicit_response, "ok").value_or(false));
-  EXPECT_FALSE(GetString(explicit_response, "route_policy").ok());
+  ASSERT_TRUE(GetBool(result, "ok").value_or(false));
+  EXPECT_EQ(GetString(result, "strategy").value_or(""), "SFFS(NR)");
 }
 
+// The "router" verb is gone: it answers bad_request like any unknown op.
 TEST(DfsServerTest, RouterVerbReportsRoutingState) {
   auto server = MakeServer(/*workers=*/1, /*capacity=*/4);
-  JobRequest request = EasyJob();
-  request.strategy = "auto";
-  auto id = server->Submit(request);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(server->WaitForTerminal(*id, 60.0).ok());
-
   JsonObject response =
       ParseJsonLine(Dispatch(*server, R"({"op":"router"})").response)
           .value_or(JsonObject{});
-  EXPECT_TRUE(GetBool(response, "ok").value_or(false));
-  EXPECT_EQ(GetString(response, "policy").value_or(""), "static");
-  EXPECT_EQ(GetNumber(response, "decisions").value_or(-1), 1.0);
-  EXPECT_EQ(GetNumber(response, "generation").value_or(-1), 0.0);
-  EXPECT_FALSE(GetBool(response, "optimizer_loaded").value_or(true));
-  // Per-strategy route counts, flattened with sanitized labels.
-  EXPECT_EQ(GetNumber(response, "routes.sffs_nr").value_or(-1), 1.0);
+  EXPECT_FALSE(GetBool(response, "ok").value_or(true));
+  EXPECT_EQ(GetString(response, "error").value_or(""), "bad_request");
 }
 
 TEST(DfsServerTest, PriorityJobsOvertakeTheQueue) {

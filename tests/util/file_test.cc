@@ -15,7 +15,6 @@
 
 #include "core/eval_cache.h"
 #include "core/optimizer.h"
-#include "router/router.h"
 #include "util/csv.h"
 #include "util/rng.h"
 
@@ -95,9 +94,6 @@ TEST(StateWritersTest, EveryWriterFailsOnFullDevice) {
   core::EvalCacheRegistry registry;
   ASSERT_TRUE(registry.GetOrCreate(7)->InsertPublished(mask, outcome));
   EXPECT_FALSE(registry.SaveToFile(kFullDevice).ok()) << "cache registry";
-
-  router::StrategyRouter router;
-  EXPECT_FALSE(router.SaveToFile(kFullDevice).ok()) << "router snapshot";
 
   EXPECT_FALSE(TrainTinyOptimizer().SaveToFile(kFullDevice).ok())
       << "optimizer model";

@@ -362,9 +362,10 @@ def per_file_rules(root, rel, raw, protocol_text, documented, out):
 # Facts model
 
 class Function:
-    def __init__(self, cls, name, rel, header, body):
+    def __init__(self, cls, name, root, rel, header, body):
         self.cls = cls          # enclosing class name ('' for free functions)
         self.name = name
+        self.file = (root, rel)  # key into Facts.files
         self.rel = rel          # file, relative to the scanned root
         self.header = header    # signature text (annotations included)
         self.body = body        # stripped body text (offsets match file)
@@ -399,7 +400,8 @@ class Facts:
         self.boundary_decls = set()   # (class, name)
         self.requires_decls = {}      # (class, name) -> [mutex expr]
         self.acquire_decls = {}       # (class, name) -> [mutex expr]
-        self.files = {}               # rel -> (raw text, stripped text)
+        self.files = {}               # (root, rel) -> (raw, stripped text)
+        self.calls = {}               # Function -> resolve_calls result
 
     def ancestors(self, cls):
         """Transitive base classes of `cls` (by short name)."""
@@ -537,21 +539,25 @@ def _mask_parens(text):
 
 
 def extract(files):
-    """Brace-scope scan of [(root, rel, raw)] into the Facts model."""
+    """Brace-scope scan of [(root, rel, raw)] into the Facts model, with
+    every function's calls resolved once for the whole-program passes."""
     facts = Facts()
-    for _root, rel, raw in files:
+    for root, rel, raw in files:
         stripped = strip_code(raw)
-        facts.files[rel] = (raw, stripped)
-        _scan_file(rel, stripped, facts)
+        facts.files[(root, rel)] = (raw, stripped)
+        _scan_file(root, rel, stripped, facts)
     _scan_declarations(facts)
     for function in facts.functions:
         _scan_body(function)
+    classes = known_classes(facts)
+    for function in facts.functions:
+        facts.calls[function] = resolve_calls(function, facts, classes)
     return facts
 
 
 # -- structure -------------------------------------------------------------
 
-def _scan_file(rel, code, facts):
+def _scan_file(root, rel, code, facts):
     # Scope stack entries: (kind, name, open_pos). kind in
     # {namespace, class, function, block}.
     stack = []
@@ -588,8 +594,8 @@ def _scan_file(rel, code, facts):
                     _scan_class_body(name, body, facts)
                 elif kind == "function":
                     cls, fname = name
-                    function = Function(cls or "", fname, rel, header,
-                                        code[open_pos + 1:pos])
+                    function = Function(cls or "", fname, root, rel,
+                                        header, code[open_pos + 1:pos])
                     function.line = line_of(code, open_pos)
                     _annotate_from_header(function, header)
                     facts.functions.append(function)
@@ -703,7 +709,7 @@ def _record_member_type(cls, statement, facts):
 # -- declarations (annotations on prototypes) ------------------------------
 
 def _scan_declarations(facts):
-    for rel, (raw, stripped) in facts.files.items():
+    for _raw, stripped in facts.files.values():
         for match in DECL_LEADING_RE.finditer(stripped):
             cls = _enclosing_class(stripped, match.start())
             key = (cls, match.group("name"))
@@ -949,14 +955,14 @@ def receiver_classes(recv, function, facts, classes):
     return _type_classes(type_str, classes)
 
 
-def resolve_calls(function, facts):
+def resolve_calls(function, facts, classes):
     """Project functions a call may reach: receiver calls resolve the
     receiver's declared type (std-typed receivers are dropped; known
     classes bind to their methods); unresolvable receivers fan out to
     every class's method with that name — conservative for virtual
     dispatch — except for std vocabulary method names; receiverless
-    calls bind same-class first, then free functions."""
-    classes = known_classes(facts)
+    calls bind same-class first, then free functions. `classes` is
+    known_classes(facts)."""
     resolved = []
     for recv, name, pos, line in function.calls:
         if recv is None:
@@ -1005,7 +1011,7 @@ def transitive_acquires(facts):
             if mutex not in slot or site < slot[mutex]:
                 slot[mutex] = site
         callees.setdefault(function.key, set())
-        for targets, _pos, _line in resolve_calls(function, facts):
+        for targets, _pos, _line in facts.calls[function]:
             for target in targets:
                 callees[function.key].add(target.key)
     closure = {}
@@ -1046,7 +1052,7 @@ def lock_order_pass(facts, out):
         requires = [resolve_mutex_id(e, function, facts)
                     for e in function.requires +
                     facts.requires_decls.get(function.key, [])]
-        resolved_calls = resolve_calls(function, facts)
+        resolved_calls = facts.calls[function]
         held_regions = []  # (mutex, start, end)
         for expr, pos, line, scope_end in function.acquisitions:
             mutex = resolve_mutex_id(expr, function, facts)
@@ -1192,11 +1198,12 @@ def hot_alloc_pass(facts, out):
     # applied here so the walk only sees unjustified sites).
     alloc_sites = {}
     exempt_by_file = {
-        rel: exemption_lines(rel, raw, "DFS_ALLOC_OK", "hot-alloc", out)
-        for rel, (raw, _stripped) in facts.files.items()}
+        (root, rel): exemption_lines(rel, raw, "DFS_ALLOC_OK", "hot-alloc",
+                                     out)
+        for (root, rel), (raw, _stripped) in facts.files.items()}
     for function in facts.functions:
         sites = []
-        exempt = exempt_by_file[function.rel]
+        exempt = exempt_by_file[function.file]
         for label, pattern in ALLOC_CONSTRUCTS:
             for match in pattern.finditer(function.body):
                 line = line_of(function.body, match.start()) + \
@@ -1229,7 +1236,7 @@ def hot_alloc_pass(facts, out):
                         f"not allocate (justify with '// DFS_ALLOC_OK: "
                         f"<reason>' if this only grows warm capacity, or "
                         f"mark a sanctioned callee DFS_ALLOC_BOUNDARY)"))
-            for targets, _pos, _line in resolve_calls(function, facts):
+            for targets, _pos, _line in facts.calls[function]:
                 for target in targets:
                     if target.key in visited:
                         continue
@@ -1327,11 +1334,11 @@ def unordered_locals(function):
 
 def determinism_pass(facts, out):
     exempt_by_file = {
-        rel: exemption_lines(rel, raw, "DFS_UNORDERED_OK",
-                             "unordered-fp-order", out)
-        for rel, (raw, _stripped) in facts.files.items()}
+        (root, rel): exemption_lines(rel, raw, "DFS_UNORDERED_OK",
+                                     "unordered-fp-order", out)
+        for (root, rel), (raw, _stripped) in facts.files.items()}
     for function in facts.functions:
-        exempt = exempt_by_file[function.rel]
+        exempt = exempt_by_file[function.file]
         local_unordered = unordered_locals(function)
         member_unordered = facts.unordered_members.get(function.cls, set())
         for _decl, expr, body_start, body_end, head_pos in \
@@ -1378,7 +1385,7 @@ def determinism_pass(facts, out):
                     f"sorted copy, or justify with '// DFS_UNORDERED_OK: "
                     f"<reason>')"))
 
-    for rel, (raw, stripped) in facts.files.items():
+    for (_root, rel), (_raw, stripped) in facts.files.items():
         if re.match(r"(?:src/)?linalg/kernels", rel):
             continue
         for match in FP_ACCUM_RE.finditer(stripped):

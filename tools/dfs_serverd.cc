@@ -19,7 +19,6 @@
 #include <cstdlib>
 
 #include "obs/trace.h"
-#include "router/policy.h"
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "util/flags.h"
@@ -38,10 +37,7 @@ struct DaemonOptions {
   double row_scale = 1.0;
   std::string optimizer;  // path to a serialized DfsOptimizer
   std::string trace_out;  // JSONL trace-span output (empty = disabled)
-  std::string router_policy = "static";  // static | confidence | epsilon-greedy
-  std::string router_state;  // router snapshot path (warm restart)
   std::string eval_cache_state;  // eval-cache spill path (warm restart)
-  int router_refit_every = 0;  // online refit cadence (0 = learning off)
   bool expose = false;    // bind all interfaces instead of loopback
   bool help = false;
 };
@@ -50,8 +46,8 @@ struct DaemonOptions {
 /// EventLoopFrontEnd::RequestStop is async-signal-safe (an atomic store,
 /// shutdown(2) on the listener, one eventfd write(2) per I/O thread), so
 /// SIGTERM/SIGINT wake the whole front-end and let the normal exit path
-/// run (state spills, stats line) instead of dying with the cache and
-/// router snapshots unsaved.
+/// run (state spill, stats line) instead of dying with the eval cache
+/// unsaved.
 std::atomic<serve::EventLoopFrontEnd*> g_frontend{nullptr};
 
 extern "C" void HandleTerminationSignal(int) {
@@ -96,19 +92,9 @@ int RealMain(int argc, char** argv) {
                    "path to a serialized DfsOptimizer for \"auto\" jobs",
                    &options.optimizer);
   parser.AddString("trace-out",
-                   "write JSONL trace spans (serve.job, engine.run, fs.*, "
-                   "router.decision) to this file",
+                   "write JSONL trace spans (serve.job, engine.run, fs.*) to "
+                   "this file",
                    &options.trace_out);
-  parser.AddString("router-policy",
-                   "routing policy for \"auto\" jobs: static, confidence, "
-                   "or epsilon-greedy",
-                   &options.router_policy);
-  parser.AddString("router-state",
-                   "router snapshot path: loaded at boot if present, saved "
-                   "at shutdown (warm restart). A restored snapshot carries "
-                   "the full router configuration, so it takes precedence "
-                   "over --router-policy and --router-refit-every",
-                   &options.router_state);
   parser.AddString("eval-cache-state",
                    "shared eval-cache spill path (docs/CACHE.md): restored "
                    "at boot if present, saved at shutdown so evaluations "
@@ -116,10 +102,6 @@ int RealMain(int argc, char** argv) {
                    "loudly (the daemon refuses to start). Defaults to the "
                    "DFS_EVAL_CACHE_STATE env var",
                    &options.eval_cache_state);
-  parser.AddInt("router-refit-every",
-                "refit the meta-optimizer in the background after this many "
-                "routed-job outcomes (0 disables the online loop)",
-                &options.router_refit_every);
   parser.AddBool("expose", "bind all interfaces instead of loopback only",
                  &options.expose);
   parser.AddBool("help", "print usage", &options.help);
@@ -147,37 +129,13 @@ int RealMain(int argc, char** argv) {
     std::printf("tracing spans to %s\n", options.trace_out.c_str());
   }
 
-  // Reject unknown policy names before the server falls back silently.
-  if (auto policy = router::CreatePolicy(options.router_policy, {});
-      !policy.ok()) {
-    std::fprintf(stderr, "router-policy: %s\n",
-                 policy.status().ToString().c_str());
-    return 1;
-  }
-
   serve::ServerOptions server_options;
   server_options.num_workers = options.workers;
   server_options.queue_capacity =
       static_cast<size_t>(std::max(1, options.queue_capacity));
   server_options.result_ttl_seconds = options.ttl;
   server_options.dataset_row_scale = options.row_scale;
-  server_options.router.policy = options.router_policy;
-  server_options.router.refit_every = std::max(0, options.router_refit_every);
   serve::DfsServer server(server_options);
-
-  if (!options.router_state.empty()) {
-    const Status status = server.router().LoadFromFile(options.router_state);
-    if (status.ok()) {
-      std::printf("router state restored from %s\n",
-                  options.router_state.c_str());
-    } else if (status.code() == StatusCode::kNotFound) {
-      std::printf("router state %s not found; starting fresh\n",
-                  options.router_state.c_str());
-    } else {
-      std::fprintf(stderr, "router-state: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
 
   if (!options.eval_cache_state.empty()) {
     auto restored = server.eval_caches().LoadFromFile(options.eval_cache_state);
@@ -229,7 +187,7 @@ int RealMain(int argc, char** argv) {
   std::fflush(stdout);
 
   // From here, SIGTERM/SIGINT stop the front-end for a graceful exit:
-  // state spills (router + eval cache) still run.
+  // the eval-cache spill still runs.
   g_frontend.store(&frontend);
   std::signal(SIGTERM, HandleTerminationSignal);
   std::signal(SIGINT, HandleTerminationSignal);
@@ -241,17 +199,6 @@ int RealMain(int argc, char** argv) {
   g_frontend.store(nullptr);
 
   server.Shutdown(/*cancel_pending=*/true);
-  if (!options.router_state.empty()) {
-    // After Shutdown the workers have joined, so the router is quiescent —
-    // the snapshot is a consistent cut for warm restart and replay.
-    if (Status status = server.router().SaveToFile(options.router_state);
-        status.ok()) {
-      std::printf("router state saved to %s\n", options.router_state.c_str());
-    } else {
-      std::fprintf(stderr, "router-state save: %s\n",
-                   status.ToString().c_str());
-    }
-  }
   if (!options.eval_cache_state.empty()) {
     // Workers are joined, so the registry is quiescent: the spill is a
     // consistent cut (docs/CACHE.md).

@@ -5,12 +5,8 @@
 //   dfs_submit --status 7        dfs_submit --result 7
 //   dfs_submit --cancel 7        dfs_submit --stats
 //   dfs_submit --metrics         dfs_submit --ping
-//   dfs_submit --router          dfs_submit --shutdown
-//   dfs_submit --cache
+//   dfs_submit --cache           dfs_submit --shutdown
 //   dfs_submit --ping --connections 4 --repeat 8 --pipeline
-//
-// --explain-route pretty-prints the router's decision (policy, probability
-// map, portfolio members) from an "auto" submit response.
 //
 // Speaks the newline-delimited JSON line protocol (one request, one
 // response per line). Responses are printed verbatim; --wait polls a
@@ -20,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 
 #include "serve/line_protocol.h"
@@ -49,7 +44,6 @@ struct ClientOptions {
   int priority = 0;
   int seed = 42;
   bool wait = false;
-  bool explain_route = false;
 
   // Multi-channel / pipelining (exercises the event-loop front-end's
   // multiplexed path; see docs/PROTOCOL.md "Keep-alive and pipelining").
@@ -63,7 +57,6 @@ struct ClientOptions {
   int cancel_id = 0;
   bool stats = false;
   bool metrics = false;
-  bool router = false;
   bool cache = false;
   bool ping = false;
   bool shutdown = false;
@@ -99,13 +92,9 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
   parser.AddInt("seed", "random seed", &options.seed);
   parser.AddBool("wait", "poll the submitted job until terminal",
                  &options.wait);
-  parser.AddBool("explain-route",
-                 "after an \"auto\" submit, pretty-print the router's "
-                 "decision (policy, probabilities, portfolio members)",
-                 &options.explain_route);
   parser.AddInt("connections",
                 "open this many keep-alive channels and send the request "
-                "on each (disables --wait/--explain-route)",
+                "on each (disables --wait)",
                 &options.connections);
   parser.AddInt("repeat", "send the request this many times per channel",
                 &options.repeat);
@@ -120,10 +109,6 @@ void RegisterFlags(FlagParser& parser, ClientOptions& options) {
   parser.AddBool("metrics",
                  "fetch the flattened dfs::obs metrics snapshot",
                  &options.metrics);
-  parser.AddBool("router",
-                 "fetch the strategy router's policy, learning progress and "
-                 "per-strategy route counts",
-                 &options.router);
   parser.AddBool("cache",
                  "fetch the shared eval-cache counters (hits, misses, "
                  "inserts, spills/restores, shard occupancy)",
@@ -151,43 +136,6 @@ std::string OpRequest(const char* op) {
   serve::JsonObject object;
   object["op"] = serve::JsonValue::String(op);
   return serve::WriteJsonLine(object);
-}
-
-/// Pretty-prints the route_* fields of an "auto" submit response (see
-/// docs/PROTOCOL.md "submit"): the policy that decided, the per-strategy
-/// probability map, and the portfolio members when the policy raced.
-void ExplainRoute(const serve::JsonObject& object) {
-  auto policy = serve::GetString(object, "route_policy");
-  if (!policy.ok()) {
-    std::printf("route: (none — explicit strategy or unrouted job)\n");
-    return;
-  }
-  auto strategy = serve::GetString(object, "strategy");
-  std::printf("route: policy=%s strategy=%s\n", policy->c_str(),
-              strategy.ok() ? strategy->c_str() : "?");
-  const bool explored =
-      serve::GetBool(object, "route_explored").value_or(false);
-  const bool portfolio =
-      serve::GetBool(object, "route_portfolio").value_or(false);
-  if (explored) std::printf("route: explored (epsilon draw)\n");
-  auto members = serve::GetString(object, "route_members");
-  if (portfolio && members.ok()) {
-    std::printf("route: portfolio over [%s]\n", members->c_str());
-  }
-  auto probs = serve::GetString(object, "route_probs");
-  if (probs.ok() && !probs->empty()) {
-    std::printf("route: probabilities:\n");
-    std::istringstream in(*probs);
-    std::string entry;
-    while (in >> entry) {
-      const size_t colon = entry.rfind(':');
-      if (colon == std::string::npos) continue;
-      std::printf("  %-24s %s\n", entry.substr(0, colon).c_str(),
-                  entry.substr(colon + 1).c_str());
-    }
-  } else {
-    std::printf("route: no probabilities (optimizer not trained yet)\n");
-  }
 }
 
 /// Polls `id` until terminal, then prints its result line. Returns the
@@ -296,8 +244,6 @@ int RealMain(int argc, char** argv) {
     request = OpRequest("stats");
   } else if (options.metrics) {
     request = OpRequest("metrics");
-  } else if (options.router) {
-    request = OpRequest("router");
   } else if (options.cache) {
     request = OpRequest("cache");
   } else if (options.ping) {
@@ -337,9 +283,8 @@ int RealMain(int argc, char** argv) {
   } else {
     std::fprintf(stderr,
                  "nothing to do: pass --dataset (submit) or one of "
-                 "--status/--result/--cancel/--stats/--metrics/--router/--cache/"
-                 "--ping/"
-                 "--shutdown\n\n%s",
+                 "--status/--result/--cancel/--stats/--metrics/--cache/"
+                 "--ping/--shutdown\n\n%s",
                  parser.Help().c_str());
     return 1;
   }
@@ -365,9 +310,6 @@ int RealMain(int argc, char** argv) {
   auto object = serve::ParseJsonLine(*response);
   if (!object.ok()) return 1;
   const bool accepted = serve::GetBool(*object, "ok").value_or(false);
-  if (options.explain_route && !options.dataset.empty() && accepted) {
-    ExplainRoute(*object);
-  }
   if (options.wait && !options.dataset.empty()) {
     if (!accepted) return 1;
     auto id = serve::GetNumber(*object, "id");
